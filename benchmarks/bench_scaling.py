@@ -1,31 +1,20 @@
-"""Virtual-rank scaling bench — overlapped vs packed exchange.
+"""Virtual-rank scaling bench — comm cost of the packed exchange.
 
 Runs Sod at a fixed global mesh over a ladder of virtual rank counts
-on both distributed backends with tracing on, in both exchange modes,
-and distils what the split-phase protocol is supposed to change: the
-seconds each run spends *blocked* in communication, versus the seconds
-of posts that overlap with interior compute.  The accounting is
-honest about the split:
-
-* ``comm_seconds`` — the blocking portion only: every ``cat="comm"``
-  span except the ``typhon.post_*`` posts.  This is the critical-path
-  cost a step cannot hide.
-* ``comm_overlap_seconds`` — the ``typhon.post_*`` spans: packing work
-  that runs while the neighbours' halves are still in flight.  It
-  costs CPU but not schedule.
-
-A packed-vs-overlap head-to-head per rung and the shared-memory
-mailbox shrink ratio (:func:`repro.parallel.commplan.mailbox_ratio`)
-complete the picture.  Writes ``BENCH_scaling.json`` at the repository
-root so CI can track the numbers and ``repro compare --gate-comm`` can
-gate the ``bytes_per_step`` leaves.
+on both distributed backends with tracing on, and records per rung
+the wall seconds, the seconds inside ``cat="comm"`` spans (halo
+exchanges and the dt tree, summed over ranks), the comm bytes and
+messages per step, and the parallel efficiency ``T1 / (n * Tn)`` per
+backend.  The shared-memory mailbox shrink ratio
+(:func:`repro.parallel.commplan.mailbox_ratio`) completes the picture.
+Writes ``BENCH_scaling.json`` at the repository root so CI can track
+the numbers and ``repro compare --gate-comm`` can gate the
+``bytes_per_step`` leaves.
 
 Virtual ranks time-share the host CPUs, so wall-clock does not drop
-with rank count on a small runner — ``cpus_visible`` is recorded and
-efficiency is advisory; the comm seconds and bytes are the honest,
-hardware-independent signals.  (On an oversubscribed runner the
-overlap win shows up as *removed synchronisation stalls*: the blocking
-comm seconds drop even when total CPU work does not.)
+with rank count once the ladder passes ``cpus_visible`` (recorded);
+efficiency is advisory there, and the comm bytes and messages are the
+hardware-independent signals.
 
 Run standalone (``python benchmarks/bench_scaling.py [--quick]``) or
 through the bench harness (``pytest benchmarks/bench_scaling.py``).
@@ -51,7 +40,6 @@ DEFAULT_NX = 64
 DEFAULT_STEPS = 40
 DEFAULT_RANKS = (1, 2, 4, 8)
 BACKENDS = ("threads", "processes")
-PLANS = ("packed", "overlap")
 PROBLEM = "sod"
 
 
@@ -62,81 +50,45 @@ def _cpus_visible() -> int:
         return os.cpu_count() or 1
 
 
-def _comm_split_seconds(spans) -> tuple:
-    """(blocking, overlapped) seconds inside ``cat="comm"`` spans.
-
-    Posts (``typhon.post_*``) overlap interior compute — they spend
-    CPU, not schedule — so they are excluded from the blocking total
-    and reported separately."""
-    blocking = 0.0
-    overlapped = 0.0
-    for s in spans:
-        if s.cat != "comm" or s.dur_ns <= 0:
-            continue
-        if s.name.startswith("typhon.post_"):
-            overlapped += s.dur_ns
-        else:
-            blocking += s.dur_ns
-    return blocking / 1e9, overlapped / 1e9
+def _comm_seconds(spans) -> float:
+    """Seconds inside ``cat="comm"`` spans, summed over all ranks."""
+    return sum(s.dur_ns for s in spans
+               if s.cat == "comm" and s.dur_ns > 0) / 1e9
 
 
-def _one_run(nx: int, backend: str, nranks: int, steps: int,
-             comm_plan: str):
-    """One traced run; returns ``(wall, blocking, overlapped, result)``."""
+def _one_run(nx: int, backend: str, nranks: int, steps: int):
+    """One traced run; returns ``(wall, comm, result)``."""
     config = RunConfig(problem=PROBLEM, nx=nx, ny=nx, max_steps=steps,
-                       nranks=nranks, backend=backend, trace=True,
-                       comm_plan=comm_plan)
+                       nranks=nranks, backend=backend, trace=True)
     t0 = time.perf_counter()
     result = run(config)
     wall = time.perf_counter() - t0
-    blocking, overlapped = _comm_split_seconds(result.spans)
-    return wall, blocking, overlapped, result
+    return wall, _comm_seconds(result.spans), result
 
 
-def _entry(backend: str, nranks: int, comm_plan: str, samples) -> dict:
-    """Fold repeat samples into one case: best-of for the timings
-    (scheduling noise only ever adds time), schedule-determined
-    counters verbatim from the last run."""
+def time_case(nx: int, backend: str, nranks: int, steps: int,
+              repeats: int = 1) -> dict:
+    """Best-of-``repeats`` traced runs of one rung: the minimum
+    timings (scheduling noise only ever adds time), the
+    schedule-determined counters verbatim from the last run."""
+    samples = [_one_run(nx, backend, nranks, steps)
+               for _ in range(max(repeats, 1))]
     walls = [s[0] for s in samples]
-    result = samples[-1][3]
+    result = samples[-1][2]
     total_bytes = sum(e["bytes"] for e in result.comm_per_rank)
     messages = sum(e["messages"] for e in result.comm_per_rank)
     nstep = max(result.nstep, 1)
     return {
         "backend": backend,
         "nranks": nranks,
-        "comm_plan": comm_plan,
         "steps": result.nstep,
         "samples": len(walls),
         "sample_seconds": walls,
         "wall_seconds": min(walls),
         "comm_seconds": min(s[1] for s in samples),
-        "comm_overlap_seconds": min(s[2] for s in samples),
         "bytes_per_step": total_bytes / nstep,
         "messages_per_step": messages / nstep,
     }
-
-
-def time_case(nx: int, backend: str, nranks: int, steps: int,
-              comm_plan: str = "overlap", repeats: int = 1) -> dict:
-    """Best-of-``repeats`` traced runs of a single configuration."""
-    samples = [_one_run(nx, backend, nranks, steps, comm_plan)
-               for _ in range(max(repeats, 1))]
-    return _entry(backend, nranks, comm_plan, samples)
-
-
-def duel_case(nx: int, backend: str, nranks: int, steps: int,
-              repeats: int) -> dict:
-    """Packed and overlap at one rung with *interleaved* repeats
-    (A/B/A/B...), so ambient load drift debits both plans equally —
-    the per-plan minimum is then an honest like-for-like compare."""
-    samples = {plan: [] for plan in PLANS}
-    for _ in range(max(repeats, 1)):
-        for plan in PLANS:
-            samples[plan].append(_one_run(nx, backend, nranks, steps,
-                                          plan))
-    return {plan: _entry(backend, nranks, plan, samples[plan])
-            for plan in PLANS}
 
 
 def _mailbox_shrink(nx: int, nranks: int) -> dict:
@@ -151,42 +103,25 @@ def _mailbox_shrink(nx: int, nranks: int) -> dict:
 def run_matrix(nx: int = DEFAULT_NX, steps: int = DEFAULT_STEPS,
                ranks=DEFAULT_RANKS, repeats: int = 3) -> dict:
     cases = []
-    duel_rungs = []
     for backend in BACKENDS:
-        base = time_case(nx, backend, 1, steps, comm_plan="overlap",
-                         repeats=repeats)
-        base["efficiency"] = 1.0
-        cases.append(base)
-        t1 = base["wall_seconds"]
+        t1 = None
         for nranks in ranks:
+            entry = time_case(nx, backend, nranks, steps, repeats)
             if nranks == 1:
-                continue
-            rung = duel_case(nx, backend, nranks, steps, repeats)
-            for plan in PLANS:
-                entry = rung[plan]
-                entry["efficiency"] = t1 / (nranks * entry["wall_seconds"])
-                cases.append(entry)
-            duel_rungs.append({
-                "backend": backend,
-                "nranks": nranks,
-                "packed_comm_seconds": rung["packed"]["comm_seconds"],
-                "overlap_comm_seconds": rung["overlap"]["comm_seconds"],
-                "packed_efficiency": rung["packed"]["efficiency"],
-                "overlap_efficiency": rung["overlap"]["efficiency"],
-                "speedup": (rung["packed"]["wall_seconds"]
-                            / rung["overlap"]["wall_seconds"]),
-            })
+                t1 = entry["wall_seconds"]
+            entry["efficiency"] = (
+                t1 / (nranks * entry["wall_seconds"]) if t1 else None
+            )
+            cases.append(entry)
     return {
-        "bench": "comm-overlap-scaling",
+        "bench": "commplan-scaling",
         "description": ("Sod at fixed global size over a virtual-rank "
-                        "ladder, packed vs overlapped exchange; blocking "
-                        "comm seconds from cat=comm spans minus posts"),
+                        "ladder; comm seconds from cat=comm spans"),
         "problem": PROBLEM,
         "nx": nx,
         "steps": steps,
         "cpus_visible": _cpus_visible(),
         "cases": cases,
-        "overlap_vs_packed": {"rungs": duel_rungs},
         "mailbox": _mailbox_shrink(nx, 4 if 4 in ranks else max(ranks)),
     }
 
@@ -200,24 +135,15 @@ def format_report(report: dict) -> str:
     lines = [f"scaling bench: {report['problem']} nx={report['nx']}, "
              f"{report['steps']} steps, "
              f"{report['cpus_visible']} cpu(s) visible",
-             f"{'backend':>10}{'ranks':>7}{'plan':>9}{'wall s':>9}"
-             f"{'block s':>9}{'post s':>9}{'B/step':>9}{'eff':>7}"]
+             f"{'backend':>10}{'ranks':>7}{'wall s':>9}{'comm s':>9}"
+             f"{'B/step':>9}{'msg/step':>10}{'eff':>7}"]
     for c in report["cases"]:
-        eff = f"{c['efficiency']:.2f}" if c.get("efficiency") else "-"
+        eff = f"{c['efficiency']:.2f}" if c["efficiency"] else "-"
         lines.append(
-            f"{c['backend']:>10}{c['nranks']:>7}{c['comm_plan']:>9}"
+            f"{c['backend']:>10}{c['nranks']:>7}"
             f"{c['wall_seconds']:>9.3f}{c['comm_seconds']:>9.3f}"
-            f"{c['comm_overlap_seconds']:>9.3f}"
-            f"{c['bytes_per_step']:>9.0f}{eff:>7}"
-        )
-    for rung in report["overlap_vs_packed"]["rungs"]:
-        lines.append(
-            f"overlap vs packed, {rung['backend']} x{rung['nranks']}: "
-            f"blocking comm {rung['packed_comm_seconds']:.3f}s -> "
-            f"{rung['overlap_comm_seconds']:.3f}s, "
-            f"efficiency {rung['packed_efficiency']:.2f} -> "
-            f"{rung['overlap_efficiency']:.2f} "
-            f"({rung['speedup']:.2f}x wall)"
+            f"{c['bytes_per_step']:>9.0f}{c['messages_per_step']:>10.1f}"
+            f"{eff:>7}"
         )
     mb = report["mailbox"]
     lines.append(
@@ -238,27 +164,19 @@ def test_scaling_matrix(results_dir):
     (results_dir / "scaling.txt").write_text(text + "\n")
     print()
     print(text)
-    # 1 baseline + 2 rungs x 2 plans, per backend
-    assert len(report["cases"]) == len(BACKENDS) * (1 + 2 * len(PLANS))
+    assert len(report["cases"]) == len(BACKENDS) * 3
     for c in report["cases"]:
         assert c["wall_seconds"] > 0
         if c["nranks"] > 1:
             assert c["comm_seconds"] > 0
             assert c["bytes_per_step"] > 0
-    by_key = {(c["backend"], c["nranks"], c["comm_plan"]): c
-              for c in report["cases"]}
-    for backend in BACKENDS:
-        for nranks in (2, 4):
-            packed = by_key[(backend, nranks, "packed")]
-            overlap = by_key[(backend, nranks, "overlap")]
-            # pure reorder: identical traffic, steps and messages
-            assert overlap["bytes_per_step"] == packed["bytes_per_step"]
-            assert overlap["messages_per_step"] == \
-                packed["messages_per_step"]
-            assert overlap["steps"] == packed["steps"]
-            # the posts actually moved off the blocking path
-            assert overlap["comm_overlap_seconds"] > 0
-            assert packed["comm_overlap_seconds"] == 0
+    # the two backends run the same schedule: identical traffic
+    by_key = {(c["backend"], c["nranks"]): c for c in report["cases"]}
+    for nranks in (2, 4):
+        threads = by_key[("threads", nranks)]
+        procs = by_key[("processes", nranks)]
+        assert threads["bytes_per_step"] == procs["bytes_per_step"]
+        assert threads["messages_per_step"] == procs["messages_per_step"]
     assert report["mailbox"]["ratio"] > 1.0
 
 
@@ -270,7 +188,7 @@ def main(argv) -> int:
     parser.add_argument("--ranks", default=None,
                         help="comma-separated rank ladder")
     parser.add_argument("--repeats", type=int, default=None,
-                        help="best-of repeats per case (default 5, "
+                        help="best-of repeats per rung (default 5, "
                              "1 with --quick)")
     args = parser.parse_args(argv[1:])
     nx = args.nx or (32 if args.quick else DEFAULT_NX)

@@ -137,28 +137,16 @@ def advect_cells(mesh: QuadMesh,
 
     grx, gry = cell_gradients(mesh, cx, cy, rho)
     gex, gey = cell_gradients(mesh, cx, cy, e)
-    if comms is not None and comms.overlap_enabled():
-        # Split-phase: the donor selection and the flux-target bases
-        # depend only on local data, so they compute while the ghost
-        # gradient rows are in flight.
-        comms.post_cell_arrays(grx, gry, gex, gey)
-        donor = np.where(fv > 0.0, mesh.face_cells[:, 0],
-                         mesh.face_cells[:, 1])
-        mass_new = cell_mass.copy()
-        energy_new = cell_mass * e
-        comms.complete_cell_arrays(grx, gry, gex, gey)
-    else:
-        if comms is not None:
-            comms.exchange_cell_arrays(grx, gry, gex, gey)
-        donor = np.where(fv > 0.0, mesh.face_cells[:, 0],
-                         mesh.face_cells[:, 1])
-        mass_new = cell_mass.copy()
-        energy_new = cell_mass * e
+    if comms is not None:
+        comms.exchange_cell_arrays(grx, gry, gex, gey)
 
     mass_flux = face_fluxes(mesh, fv, rho, grx, gry, cx, cy, sx, sy)
+    mass_new = cell_mass.copy()
     scatter_face_fluxes(mesh, mass_flux, mass_new)
 
+    donor = np.where(fv > 0.0, mesh.face_cells[:, 0], mesh.face_cells[:, 1])
     e_f = e[donor] + gex[donor] * (sx - cx[donor]) + gey[donor] * (sy - cy[donor])
     energy_flux = mass_flux * e_f
+    energy_new = cell_mass * e
     scatter_face_fluxes(mesh, energy_flux, energy_new)
     return mass_new, energy_new

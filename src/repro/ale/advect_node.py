@@ -73,28 +73,19 @@ def advect_momentum(state: HydroState, dual_fv: np.ndarray,
     cv *= state.corner_mass
     mom_x = _masked_scatter(state, cu, owned)
     mom_y = _masked_scatter(state, cv, owned)
-    if comms is not None and comms.overlap_enabled():
-        # Split-phase: the donor selection depends only on the flux
-        # signs, so it computes while the peers' sum blocks arrive.
-        comms.post_node_sums(state, node_vol, node_mass, mom_x, mom_y)
-        n1 = mesh.cell_nodes
-        n2 = np.roll(mesh.cell_nodes, -1, axis=1)
-        donor = np.where(dual_fv > 0.0, n1, n2)
-        node_vol, node_mass, mom_x, mom_y = comms.complete_node_sums(state)
-    else:
-        if comms is not None:
-            node_vol, node_mass, mom_x, mom_y = comms.complete_node_arrays(
-                state, node_vol, node_mass, mom_x, mom_y
-            )
-        n1 = mesh.cell_nodes
-        n2 = np.roll(mesh.cell_nodes, -1, axis=1)
-        donor = np.where(dual_fv > 0.0, n1, n2)
+    if comms is not None:
+        node_vol, node_mass, mom_x, mom_y = comms.complete_node_arrays(
+            state, node_vol, node_mass, mom_x, mom_y
+        )
 
     # Upwind nodal density needs complete sums; guard ghost-only nodes.
     complete = node_vol > 0.0
     rho_n = np.where(complete, node_mass / np.where(complete, node_vol, 1.0),
                      0.0)
 
+    n1 = mesh.cell_nodes
+    n2 = np.roll(mesh.cell_nodes, -1, axis=1)
+    donor = np.where(dual_fv > 0.0, n1, n2)
     fm = dual_fv * rho_n[donor]
     fmx = fm * state.u[donor]
     fmy = fm * state.v[donor]

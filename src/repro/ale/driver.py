@@ -85,20 +85,9 @@ class AleStep:
                 # Ghost node positions moved with u^n during the step;
                 # refresh them (and the dependent volumes) exactly, then
                 # pull the ghosts' post-Lagrangian thermodynamics.
-                if comms.overlap_enabled():
-                    # Both halos in flight at once: the geometry
-                    # refresh needs the ghost coordinates, so it sits
-                    # after the kinematic complete but overlaps the
-                    # (larger) cell-field exchange.
-                    comms.post_kinematics(state)
-                    comms.post_cell_fields(state)
-                    comms.complete_kinematics(state)
-                    state.refresh_geometry()
-                    comms.complete_cell_fields(state)
-                else:
-                    comms.exchange_kinematics(state)
-                    state.refresh_geometry()
-                    comms.exchange_cell_fields(state)
+                comms.exchange_kinematics(state)
+                state.refresh_geometry()
+                comms.exchange_cell_fields(state)
 
         with timers.region("alegetmesh"):
             boundary_sides = (comms.physical_boundary_sides(state)

@@ -56,7 +56,7 @@ _LEGACY_ALIASES = {"ranks": "nranks", "method": "partition"}
 
 #: bump when the canonical-key layout changes — cache entries written
 #: under an older layout must miss, never alias
-CANONICAL_KEY_VERSION = 2
+CANONICAL_KEY_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -87,13 +87,6 @@ class RunConfig:
     nranks: int = 1
     backend: str = "auto"
     partition: str = "rcb"
-    #: ``"overlap"`` (default) runs the split-phase exchanges with
-    #: interior/boundary compute overlap and the binomial-tree dt
-    #: reduction; ``"packed"`` keeps the single-barrier collectives —
-    #: bit-identical, retained as the equivalence baseline
-    #: (docs/PARALLEL.md).  The pre-plan ``"legacy"`` protocol was
-    #: removed and now raises ``DeprecatedOptionError``.
-    comm_plan: str = "overlap"
     trace: bool = False
     trace_allocations: bool = False
     #: collapsed-stack flamegraph output path; setting it turns the
@@ -172,7 +165,6 @@ class RunConfig:
             "nranks": int(self.nranks),
             "backend": self.resolved_backend(),
             "partition": self.partition,
-            "comm_plan": self.comm_plan,
             "metrics_every": self.resolved_metrics_every(),
             "collect_steps": bool(self.collect_steps),
             "problem_kwargs": {
@@ -342,7 +334,6 @@ def _execute_run(config: RunConfig, *,
         metrics_every=config.resolved_metrics_every(),
         watchdog_timeout=config.watchdog_timeout,
         snapshot_dir=config.snapshot_dir,
-        comm_plan=config.comm_plan,
         artifacts=artifacts,
     )
     driver.collect_step_series = config.collect_steps

@@ -62,13 +62,6 @@ def _build_parser() -> argparse.ArgumentParser:
                           "serial for 1 rank, threads otherwise)")
     run.add_argument("--partition", choices=("rcb", "spectral"),
                      default="rcb")
-    run.add_argument("--comm-plan", choices=("overlap", "packed"),
-                     default="overlap", dest="comm_plan",
-                     help="halo exchange protocol: 'overlap' (split-"
-                          "phase post/complete with interior compute "
-                          "overlap and tree dt reduction; default) or "
-                          "'packed' (single-barrier collectives, "
-                          "bit-identical; see docs/PARALLEL.md)")
     run.add_argument("--max-steps", type=int, dest="max_steps")
     run.add_argument("--log-every", type=int, default=0,
                      help="print a step banner every N steps")
@@ -430,7 +423,6 @@ def _run_config(args: argparse.Namespace):
         nranks=nranks,
         backend=args.backend,
         partition=args.partition,
-        comm_plan=args.comm_plan,
         trace=bool(args.report or args.trace),
         trace_allocations=args.trace_allocs,
         profile=args.profile,

@@ -109,50 +109,6 @@ class SerialComms:
         serially).  Used by the live-metrics probe for field extrema."""
         return np.array(values, dtype=np.float64)
 
-    def comm_plan(self):
-        """The compiled packed-exchange plan driving this endpoint
-        (None: a serial run has no halos to pack)."""
-        return None
-
-    # ------------------------------------------------------------------
-    # split-phase (overlapped) exchange API — serial degenerate forms.
-    # A single domain has no halo, so posts are no-ops and completions
-    # return the inputs; kernels gate the split code path on
-    # ``overlap_enabled()`` anyway.
-    # ------------------------------------------------------------------
-    def overlap_enabled(self) -> bool:
-        """Whether split-phase halo exchange is active (never serially)."""
-        return False
-
-    def post_kinematics(self, state) -> None:
-        """Start the kinematic halo refresh (no-op serially)."""
-
-    def complete_kinematics(self, state) -> None:
-        """Finish the kinematic halo refresh (no-op serially)."""
-
-    def post_node_sums(self, state, *partials: np.ndarray) -> None:
-        """Start a nodal-sum completion (serially just remembers the
-        partials, which already are the totals)."""
-        self._pending_sums = partials
-
-    def complete_node_sums(self, state) -> Tuple[np.ndarray, ...]:
-        """Finish a posted nodal-sum completion (identity serially)."""
-        partials = getattr(self, "_pending_sums", ())
-        self._pending_sums = ()
-        return partials
-
-    def post_cell_arrays(self, *arrays: np.ndarray) -> None:
-        """Start a ghost-cell refresh of per-cell arrays (no-op)."""
-
-    def complete_cell_arrays(self, *arrays: np.ndarray) -> None:
-        """Finish a posted ghost-cell refresh (no-op serially)."""
-
-    def post_cell_fields(self, state) -> None:
-        """Start the ghost-cell thermodynamic refresh (no-op)."""
-
-    def complete_cell_fields(self, state) -> None:
-        """Finish the ghost-cell thermodynamic refresh (no-op)."""
-
 
 #: the formal name of the do-nothing endpoint in the backend registry
 #: (``repro.parallel.interface`` nomenclature); same class, two names.

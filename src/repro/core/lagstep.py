@@ -78,27 +78,6 @@ def _viscosity(mesh, cx, cy, u, v, rho, cs2, p, volume, gamma, controls,
     return fqx, fqy, q_cell, p
 
 
-def _gather_overlapped(comms, state, mesh, cx, cy, timers) -> None:
-    """Gather corner coordinates with the kinematic halo in flight.
-
-    The CommPlan's compile-time partition splits the cells: while the
-    neighbours' posts are still arriving, the full contiguous gather
-    runs — the interior cells (all but an O(√ncell) strip) come out
-    final, the halo cells come out stale; after
-    ``complete_kinematics`` lands the ghost values, only the halo
-    strip re-gathers (``plan.halo_nodes``, baked at compile time).
-    Pure copies, last write wins per row — bit-identical to a blocking
-    exchange followed by a full gather.
-    """
-    plan = comms.comm_plan()
-    geometry.gather(mesh, state.x, state.y, out=(cx, cy))
-    with timers.region("exchange"):
-        comms.complete_kinematics(state)
-    halo = plan.halo_cells
-    cx[halo] = state.x[plan.halo_nodes]
-    cy[halo] = state.y[plan.halo_nodes]
-
-
 def lagstep(state: HydroState, table: MaterialTable,
             controls: HydroControls, dt: float,
             timers: TimerRegistry, gamma: np.ndarray,
@@ -118,12 +97,8 @@ def lagstep(state: HydroState, table: MaterialTable,
     # ------------------------------------------------------------------
     # predictor: evolve thermodynamics to the half step with u^n
     # ------------------------------------------------------------------
-    overlap = comms.overlap_enabled()
     with timers.region("exchange"):
-        if overlap:
-            comms.post_kinematics(state)
-        else:
-            comms.exchange_kinematics(state)
+        comms.exchange_kinematics(state)
 
     if ws is not None:
         cx = w.array("lag.cx", (mesh.ncell, 4))
@@ -131,11 +106,7 @@ def lagstep(state: HydroState, table: MaterialTable,
     else:
         cx = np.empty((mesh.ncell, 4))
         cy = np.empty((mesh.ncell, 4))
-    if overlap:
-        # Interior corners gather while the halo exchange is in flight
-        _gather_overlapped(comms, state, mesh, cx, cy, timers)
-    else:
-        geometry.gather(mesh, state.x, state.y, out=(cx, cy))
+    geometry.gather(mesh, state.x, state.y, out=(cx, cy))
     with timers.region("getq"):
         fqx, fqy, q_cell, p_eff = _viscosity(
             mesh, cx, cy, state.u, state.v, state.rho, state.cs2,

@@ -12,11 +12,8 @@ semantics over three primitives:
   packs its send blocks into its own mailbox and index-copies the
   blocks it needs out of its peers' — with the same ascending-rank
   summation order as the threads backend, so a processes run is
-  **bit-identical** to a threads run of the same problem.  In
-  ``packed`` mode one ``multiprocessing.Barrier`` frames each
-  exchange; in ``overlap`` mode the split-phase protocol synchronises
-  on per-(rank, section) post/complete counters in a small shared
-  segment instead — no global rendezvous on the halo path.
+  **bit-identical** to a threads run of the same problem.  One
+  ``multiprocessing.Barrier`` frames each exchange.
 * **combining cells** — the per-step dt reduction runs the binomial
   tree over a shared segment of generation-guarded cells (up-sweep
   candidates, down-sweep result), O(log P) hops on the critical path.
@@ -57,21 +54,16 @@ from ...metrics.watchdog import (
 )
 from ...utils.errors import BookLeafError, CommError, StalledRankWarning
 from ...utils.timers import TimerRegistry
-from ..commplan import SECTIONS, CommPlan, _widths, compile_plans
+from ..commplan import CommPlan, _widths
 from ..halo import Subdomain, local_state
 from ..interface import BackendRun
 from ..typhon import (
-    COMM_MODES, DT_REASONS, DT_REDUCE_VALUES, SPIN_TIMEOUT, CommStats,
-    spin_backoff,
+    DT_REASONS, DT_REDUCE_VALUES, SPIN_TIMEOUT, CommStats, spin_backoff,
     tree_children, tree_parent,
 )
 from .threads import pick_primary_failure, raise_rank_failure
 
 _FLOAT_BYTES = 8
-
-#: column index of each section in the shared post/complete counter
-#: board (one float64 pair per (rank, section), single writer)
-_SECTION_COL = {name: i for i, name in enumerate(SECTIONS)}
 
 #: one dt combining cell: (generation, dt, reason code, global cell,
 #: source rank) — generation guards reuse, the rest is the candidate
@@ -137,10 +129,8 @@ class _ProcessRunContext:
         self.build_probe = driver.build_probe
         self.watchdog_timeout = driver.watchdog_timeout
         self.epoch_ns = time.perf_counter_ns()
-        #: compiled packed-exchange layouts (both modes run on them)
+        #: compiled packed-exchange layouts
         self.plans: List[CommPlan] = driver.compiled_plans()
-        #: exchange mode every rank endpoint runs ("packed"/"overlap")
-        self.comm_mode: str = driver.comm_plan
         self.barrier = ctx.Barrier(self.size)
         self.failure = ctx.Event()
         #: SimpleQueue: the put is synchronous, so a failing child can
@@ -163,14 +153,6 @@ class _ProcessRunContext:
             )
             for sub in self.subdomains
         ]
-        # Split-phase neighbour-sync counters: (size, nsections, 2)
-        # float64 — cumulative posts and completes, single writer per
-        # row.  Zero-initialised by SharedMemory; the overlap protocol
-        # spins on these instead of the barrier.
-        self.sync_seg = shared_memory.SharedMemory(
-            create=True,
-            size=self.size * len(SECTIONS) * 2 * _FLOAT_BYTES,
-        )
         # dt combining cells: (size, 2, _DT_CELL) float64 — row r holds
         # rank r's up-sweep candidate and down-sweep result, each
         # generation-stamped so reuse across reductions is unambiguous.
@@ -192,14 +174,6 @@ class _ProcessRunContext:
         seg = self.segments[rank]
         return np.ndarray(
             (seg.size // _FLOAT_BYTES,), dtype=np.float64, buffer=seg.buf
-        )
-
-    def sync_board(self) -> np.ndarray:
-        """(size, nsections, 2) post/complete counter view (caller
-        drops the view before interpreter teardown)."""
-        return np.ndarray(
-            (self.size, len(SECTIONS), 2), dtype=np.float64,
-            buffer=self.sync_seg.buf,
         )
 
     def dt_cells(self) -> np.ndarray:
@@ -282,8 +256,7 @@ class _ProcessRunContext:
                 conn.close()
             except Exception:
                 pass
-        for seg in self.segments + [self.sync_seg, self.dt_seg,
-                                    self.heartbeat_seg]:
+        for seg in self.segments + [self.dt_seg, self.heartbeat_seg]:
             try:
                 seg.close()
             except Exception:
@@ -307,10 +280,7 @@ class ProcessComms:
     __comm_endpoint__ = True
 
     def __init__(self, ctx: _ProcessRunContext, sub: Subdomain, tracer=None,
-                 plan: Optional[CommPlan] = None, mode: str = "packed"):
-        if mode not in COMM_MODES:
-            raise CommError(f"unknown comm mode {mode!r}; "
-                            f"expected one of {COMM_MODES}")
+                 plan: Optional[CommPlan] = None):
         self.ctx = ctx
         self.sub = sub
         self.rank = sub.rank
@@ -319,16 +289,10 @@ class ProcessComms:
         self.tracer = tracer
         self._mailbox = ctx.mailbox(self.rank)
         self.plan = plan if plan is not None else ctx.plans[sub.rank]
-        self.mode = mode
         #: collective-phase counter — advanced once per barrier
         #: collective, mirroring TyphonComms, so parity schedules agree
         self._phase = 0
-        #: per-section split-phase op counts and in-flight bookkeeping
-        self._ops: Dict[str, int] = dict.fromkeys(SECTIONS, 0)
-        self._pending: Dict[str, int] = {}
-        self._pending_sums: Optional[tuple] = None
-        #: shared neighbour-sync counter board and dt combining cells
-        self._sync = ctx.sync_board()
+        #: shared dt combining cells
         self._dt = ctx.dt_cells()
         self._dt_gen = 0
         #: cached peer-mailbox views (one ndarray export per peer, not
@@ -339,19 +303,10 @@ class ProcessComms:
         #: arena for the reusable nodal-sum totals buffers
         self._ws = Workspace()
 
-    def comm_plan(self) -> Optional[CommPlan]:
-        """This endpoint's compiled plan."""
-        return self.plan
-
-    def overlap_enabled(self) -> bool:
-        """True when the split-phase (overlapped) protocol is active."""
-        return self.mode == "overlap"
-
     def drop_segment_views(self) -> None:
         """Release every shared-segment export before interpreter
         teardown (an mmap cannot close while a numpy view is alive)."""
         self._mailbox = None
-        self._sync = None
         self._dt = None
         self._views.clear()
 
@@ -381,8 +336,8 @@ class ProcessComms:
         )
 
     # ------------------------------------------------------------------
-    # split-phase neighbour synchronisation (mirrors TyphonComms; the
-    # counters live in a shared float64 board instead of Python ints)
+    # dt-tree neighbour synchronisation (mirrors TyphonComms; the
+    # combining cells live in a shared float64 segment)
     # ------------------------------------------------------------------
     def _spin(self, ready, what: str) -> None:
         """Wait until ``ready()`` — sleeping with backoff, never a
@@ -402,60 +357,6 @@ class ProcessComms:
                     f"rank {self.rank} timed out waiting for {what}"
                 )
 
-    def _post_section(self, name: str, arrays) -> int:
-        """Pack op k of ``name`` and publish the post counter (same
-        guards as TyphonComms._post_section: one in-flight post per
-        section, parity half reclaimed only after every reader's k−2
-        complete)."""
-        if self.mode != "overlap":
-            raise CommError(
-                "split-phase exchange requires comm_plan='overlap' "
-                f"(this endpoint runs {self.mode!r})"
-            )
-        if name in self._pending:
-            raise CommError(
-                f"rank {self.rank}: {name} exchange already posted — "
-                "a second same-parity post must wait for complete"
-            )
-        k = self._ops[name]
-        sec = self.plan.section(name)
-        col = _SECTION_COL[name]
-        for peer in sec.send_peers:
-            self._spin(
-                lambda p=peer: self._sync[p, col, 1] >= k - 1,
-                f"rank {peer} to finish reading {name} op {k - 2}",
-            )
-        sec.pack(self._my_region(name, k & 1), arrays)
-        self._sync[self.rank, col, 0] = k + 1
-        self._pending[name] = k
-        return k
-
-    def _begin_complete(self, name: str) -> int:
-        """Wait for every source neighbour's op-k post; return k."""
-        if self.mode != "overlap":
-            raise CommError(
-                "split-phase exchange requires comm_plan='overlap' "
-                f"(this endpoint runs {self.mode!r})"
-            )
-        k = self._pending.get(name)
-        if k is None:
-            raise CommError(
-                f"rank {self.rank}: complete_{name} without a post"
-            )
-        sec = self.plan.section(name)
-        col = _SECTION_COL[name]
-        for peer in sec.recv_peers:
-            self._spin(
-                lambda p=peer: self._sync[p, col, 0] >= k + 1,
-                f"rank {peer} to post {name} op {k}",
-            )
-        return k
-
-    def _end_complete(self, name: str, k: int) -> None:
-        self._sync[self.rank, _SECTION_COL[name], 1] = k + 1
-        del self._pending[name]
-        self._ops[name] = k + 1
-
     # ------------------------------------------------------------------
     # kinematic halo exchange (before the viscosity kernel)
     # ------------------------------------------------------------------
@@ -465,22 +366,13 @@ class ProcessComms:
             self._exchange_kinematics(state)
 
     def _exchange_kinematics(self, state) -> None:
-        if self.mode == "overlap":
-            self._post_kinematics(state)
-            self._complete_kinematics(state)
-            return
-        # Packed path: one (4, n) coalesced message per neighbour,
-        # one sync (the next collective writes the opposite parity).
+        # One (4, n) coalesced message per neighbour, one sync (the
+        # next collective writes the opposite parity).
+        parity = self._phase & 1
         sec = self.plan.kin
-        sec.pack(self._my_region("kin", self._phase & 1),
+        sec.pack(self._my_region("kin", parity),
                  (state.x, state.y, state.u, state.v))
         self.ctx.sync()  # every rank's halo block staged
-        self._unpack_kinematics(state, self._phase & 1)
-        self._phase += 1
-
-    def _unpack_kinematics(self, state, parity: int) -> None:
-        """Scatter every source neighbour's staged (4, n) block."""
-        sec = self.plan.kin
         for src_rank, local_idx in self.sub.recv_nodes.items():
             bx, by, bu, bv = sec.peer_blocks(
                 src_rank, self._peer_region(src_rank, "kin", parity),
@@ -492,27 +384,7 @@ class ProcessComms:
             state.v[local_idx] = bv
             self.stats.account(4 * local_idx.size)
         self.stats.halo_exchanges += 1
-
-    def post_kinematics(self, state) -> None:
-        """Start the kinematic halo refresh (overlap mode): pack this
-        rank's send blocks and publish — the caller may now compute
-        the interior partition (``plan.interior_cells``)."""
-        with self._span("typhon.post_kinematics"):
-            self._post_kinematics(state)
-
-    def _post_kinematics(self, state) -> None:
-        self._post_section("kin", (state.x, state.y, state.u, state.v))
-
-    def complete_kinematics(self, state) -> None:
-        """Finish a posted kinematic refresh: wait for the source
-        neighbours' posts, scatter the ghost rows."""
-        with self._span("typhon.complete_kinematics"):
-            self._complete_kinematics(state)
-
-    def _complete_kinematics(self, state) -> None:
-        k = self._begin_complete("kin")
-        self._unpack_kinematics(state, k & 1)
-        self._end_complete("kin", k)
+        self._phase += 1
 
     # ------------------------------------------------------------------
     # nodal sum completion (inside the acceleration kernel)
@@ -526,18 +398,18 @@ class ProcessComms:
 
     def _complete_node_arrays(self, state, *partials: np.ndarray
                               ) -> Tuple[np.ndarray, ...]:
-        if self.mode == "overlap":
-            self._post_node_sums(state, *partials)
-            return self._complete_node_sums(state)
-        # Packed path: stage shared-node values only, one sync, fold
-        # into reused arena totals in the identical ascending order.
+        # Stage shared-node values only, one sync, fold into reused
+        # arena totals (double-buffered by parity) in the identical
+        # ascending order.
         parity = self._phase & 1
         sec = self.plan.nodesum
         sec.pack(self._my_region("nodesum", parity), partials)
         self.ctx.sync()  # every rank's shared-node block staged
-        totals = self._totals_buffer(partials, parity)
-        widths = _widths(partials)
         nf = len(partials)
+        buf = self._ws.zeros(f"commplan.totals{nf}.{parity}",
+                             (nf, partials[0].shape[0]))
+        totals = tuple(buf[i] for i in range(nf))
+        widths = _widths(partials)
         ranks = sorted(set(self.sub.shared_nodes) | {self.rank})
         for r in ranks:
             if r == self.rank:
@@ -553,72 +425,6 @@ class ProcessComms:
                 self.stats.account(nf * mine.size)
         self.stats.halo_exchanges += 1
         self._phase += 1
-        return totals
-
-    def _totals_buffer(self, partials, parity: int
-                       ) -> Tuple[np.ndarray, ...]:
-        """Zeroed arena rows for the completed totals, double-buffered
-        by parity (valid until the next-but-one same-width completion)."""
-        nf = len(partials)
-        buf = self._ws.zeros(f"commplan.totals{nf}.{parity}",
-                             (nf, partials[0].shape[0]))
-        return tuple(buf[i] for i in range(nf))
-
-    def post_node_sums(self, state, *partials: np.ndarray) -> None:
-        """Start a nodal-sum completion (overlap mode): stage this
-        rank's shared-node blocks and pre-fill the totals with the
-        local partials — every node *not* shared with a peer is final
-        immediately; ``complete_node_sums`` re-folds only the shared
-        union strip."""
-        with self._span("typhon.post_node_sums"):
-            self._post_node_sums(state, *partials)
-
-    def _post_node_sums(self, state, *partials: np.ndarray) -> None:
-        k = self._post_section("nodesum", partials)
-        totals = self._totals_buffer(partials, k & 1)
-        # 0 + p elementwise — identical to the blocking fold's first
-        # visit, so interior (unshared) nodes are already bit-final
-        for total, p in zip(totals, partials):
-            total += p
-        self._pending_sums = (partials, totals)
-
-    def complete_node_sums(self, state) -> Tuple[np.ndarray, ...]:
-        """Finish a posted nodal-sum completion: wait for the peers'
-        posts, then replay the exact ascending-rank fold over the
-        shared-node union (re-zeroed first), keeping shared totals
-        bit-identical to the blocking path."""
-        with self._span("typhon.complete_node_sums"):
-            return self._complete_node_sums(state)
-
-    def _complete_node_sums(self, state) -> Tuple[np.ndarray, ...]:
-        k = self._begin_complete("nodesum")
-        if self._pending_sums is None:
-            raise CommError(
-                f"rank {self.rank}: complete_node_sums without a post"
-            )
-        partials, totals = self._pending_sums
-        self._pending_sums = None
-        sec = self.plan.nodesum
-        union = self.plan.shared_union
-        widths = _widths(partials)
-        nf = len(partials)
-        for total in totals:
-            total[union] = 0.0
-        ranks = sorted(set(self.sub.shared_nodes) | {self.rank})
-        for r in ranks:
-            if r == self.rank:
-                for total, p in zip(totals, partials):
-                    total[union] += p[union]
-            else:
-                mine = self.sub.shared_nodes[r]
-                blocks = sec.peer_blocks(
-                    r, self._peer_region(r, "nodesum", k & 1), widths
-                )
-                for total, block in zip(totals, blocks):
-                    total[mine] += block
-                self.stats.account(nf * mine.size)
-        self.stats.halo_exchanges += 1
-        self._end_complete("nodesum", k)
         return totals
 
     def assemble_node_sums(self, state, fx: np.ndarray, fy: np.ndarray
@@ -665,8 +471,8 @@ class ProcessComms:
                 int(cell[3]), int(cell[4]))
 
     def _reduce_dt(self, candidates: List[Candidate]) -> Candidate:
-        """Binomial-tree combining reduction over shared cells (both
-        modes) — same topology and combine key as TyphonComms, so a
+        """Binomial-tree combining reduction over shared cells — same
+        topology and combine key as TyphonComms, so a
         processes run's dt stream and CommStats match the threads
         backend exactly.  O(log P) hops on the critical path."""
         dt, reason, cell = min(candidates, key=lambda c: c[0])
@@ -768,20 +574,12 @@ class ProcessComms:
             self._exchange_cell_arrays(*arrays)
 
     def _exchange_cell_arrays(self, *arrays: np.ndarray) -> None:
-        if self.mode == "overlap":
-            self._post_cell_arrays(*arrays)
-            self._complete_cell_arrays(*arrays)
-            return
-        # Packed path: all cell fields coalesce into one block per
-        # neighbour, one sync.
+        # All cell fields coalesce into one block per neighbour, one
+        # sync.
+        parity = self._phase & 1
         sec = self.plan.cell
-        sec.pack(self._my_region("cell", self._phase & 1), arrays)
+        sec.pack(self._my_region("cell", parity), arrays)
         self.ctx.sync()  # every rank's ghost-cell block staged
-        self._unpack_cell_arrays(arrays, self._phase & 1)
-        self._phase += 1
-
-    def _unpack_cell_arrays(self, arrays, parity: int) -> None:
-        sec = self.plan.cell
         widths = _widths(arrays)
         for src_rank, local_idx in self.sub.recv_cells.items():
             blocks = sec.peer_blocks(
@@ -794,41 +592,11 @@ class ProcessComms:
                 nvalues += block.size
             self.stats.account(nvalues)
         self.stats.halo_exchanges += 1
-
-    def post_cell_arrays(self, *arrays: np.ndarray) -> None:
-        """Start a ghost-cell refresh (overlap mode): pack and publish
-        this rank's owned-cell blocks."""
-        with self._span("typhon.post_cell_arrays"):
-            self._post_cell_arrays(*arrays)
-
-    def _post_cell_arrays(self, *arrays: np.ndarray) -> None:
-        self._post_section("cell", arrays)
-
-    def complete_cell_arrays(self, *arrays: np.ndarray) -> None:
-        """Finish a posted ghost-cell refresh (pass the same arrays)."""
-        with self._span("typhon.complete_cell_arrays"):
-            self._complete_cell_arrays(*arrays)
-
-    def _complete_cell_arrays(self, *arrays: np.ndarray) -> None:
-        k = self._begin_complete("cell")
-        self._unpack_cell_arrays(arrays, k & 1)
-        self._end_complete("cell", k)
+        self._phase += 1
 
     def exchange_cell_fields(self, state) -> None:
         """Refresh ghost thermodynamics and masses before a remap."""
         self.exchange_cell_arrays(
-            state.rho, state.e, state.cell_mass, state.corner_mass
-        )
-
-    def post_cell_fields(self, state) -> None:
-        """Start the ghost thermodynamic/mass refresh (overlap mode)."""
-        self.post_cell_arrays(
-            state.rho, state.e, state.cell_mass, state.corner_mass
-        )
-
-    def complete_cell_fields(self, state) -> None:
-        """Finish the posted ghost thermodynamic/mass refresh."""
-        self.complete_cell_arrays(
             state.rho, state.e, state.cell_mass, state.corner_mass
         )
 
@@ -862,8 +630,7 @@ def _rank_main(rc: _ProcessRunContext, rank: int) -> None:
             from ...telemetry.spans import Tracer
 
             tracer = Tracer(rank=rank, epoch_ns=rc.epoch_ns)
-        comms = ProcessComms(rc, sub, tracer=tracer, plan=rc.plans[rank],
-                             mode=rc.comm_mode)
+        comms = ProcessComms(rc, sub, tracer=tracer, plan=rc.plans[rank])
         timers = TimerRegistry()
         timers.tracer = tracer
         probe = rc.build_probe(rank, cell_global=sub.cell_global)

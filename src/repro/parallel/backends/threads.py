@@ -80,8 +80,7 @@ class ThreadsBackend:
             state = local_state(sub, setup.state)
             tracer = driver.tracers[sub.rank] if driver.tracers else None
             comms = TyphonComms(driver.context, sub, tracer=tracer,
-                                plan=driver.context.plans[sub.rank],
-                                mode=driver.comm_plan)
+                                plan=driver.context.plans[sub.rank])
             driver.context.register_state(sub.rank, state)
             timers = TimerRegistry()
             timers.tracer = tracer

@@ -31,18 +31,7 @@ intervening exchange's barrier.
 
 Packing is a pure reorder (gather on the sender, scatter/accumulate on
 the receiver), so a packed run is **bit-identical** step for step;
-``tests/parallel/test_commplan.py`` and ``test_overlap.py`` hold the
-``packed`` and ``overlap`` modes to that.
-
-For the overlapped (split-phase) mode the compiler also classifies the
-rank's topology once, at compile time:
-
-* ``halo_cells`` — local cells incident to at least one *received*
-  kinematic halo node (their geometry depends on the exchange);
-* ``interior_cells`` — every other cell, safe to compute while the
-  halo is in flight;
-* ``shared_union`` — the sorted union of all shared (force-sum) nodes,
-  the strip a completion must re-fold in ascending rank order.
+``tests/parallel/test_commplan.py`` holds the exchanges to that.
 """
 
 from __future__ import annotations
@@ -146,18 +135,6 @@ class CommPlan:
     kin: PackSection
     nodesum: PackSection
     cell: PackSection
-    #: compile-time interior/boundary split for the overlapped mode:
-    #: cells whose nodes include >= 1 received halo node ...
-    halo_cells: np.ndarray = field(default=None)  # type: ignore[assignment]
-    #: ... and the complement — safe to compute during halo transit
-    interior_cells: np.ndarray = field(default=None)  # type: ignore[assignment]
-    #: sorted union of every peer's shared (force-sum) nodes — the
-    #: strip `complete_node_sums` re-folds in ascending rank order
-    shared_union: np.ndarray = field(default=None)  # type: ignore[assignment]
-    #: ``cell_nodes[halo_cells]``, precomputed — the boundary strip's
-    #: corner gather re-runs every step, so the index rows are baked
-    #: at compile time instead of re-sliced per exchange
-    halo_nodes: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
         offset = 0
@@ -205,31 +182,6 @@ class CommPlan:
         return out
 
 
-def classify_interior(sub: Subdomain) -> Tuple[np.ndarray, np.ndarray]:
-    """``(interior_cells, halo_cells)`` of one subdomain.
-
-    A cell is *halo* iff one of its nodes is refreshed by the kinematic
-    exchange (``recv_nodes``) — its corner gather must wait for the
-    completion.  Every other cell (including all owned-interior cells)
-    can be gathered while the halo is still in flight.
-    """
-    recv_mask = np.zeros(sub.mesh.nnode, dtype=bool)
-    for idx in sub.recv_nodes.values():
-        recv_mask[idx] = True
-    halo = recv_mask[sub.mesh.cell_nodes].any(axis=1)
-    cells = np.arange(sub.mesh.ncell, dtype=np.int64)
-    return cells[~halo], cells[halo]
-
-
-def shared_union(sub: Subdomain) -> np.ndarray:
-    """Sorted union of all peers' shared (force-sum) node ids."""
-    if not sub.shared_nodes:
-        return np.zeros(0, dtype=np.int64)
-    return np.unique(np.concatenate(
-        [np.asarray(v, dtype=np.int64) for v in sub.shared_nodes.values()]
-    ))
-
-
 def _compile_section(name: str, max_width: int,
                      send: Dict[int, np.ndarray],
                      recv: Dict[int, np.ndarray]) -> PackSection:
@@ -259,7 +211,6 @@ def compile_plans(subdomains: List[Subdomain]) -> List[CommPlan]:
     """
     plans = []
     for sub in subdomains:
-        interior, halo = classify_interior(sub)
         plans.append(CommPlan(
             rank=sub.rank,
             kin=_compile_section("kin", KIN_FIELDS,
@@ -268,10 +219,6 @@ def compile_plans(subdomains: List[Subdomain]) -> List[CommPlan]:
                                      sub.shared_nodes, sub.shared_nodes),
             cell=_compile_section("cell", MAX_CELL_WIDTH,
                                   sub.send_cells, sub.recv_cells),
-            halo_cells=halo,
-            interior_cells=interior,
-            shared_union=shared_union(sub),
-            halo_nodes=sub.mesh.cell_nodes[halo],
         ))
     for plan in plans:
         for name in SECTIONS:

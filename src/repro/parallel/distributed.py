@@ -30,7 +30,7 @@ import numpy as np
 
 from ..core.state import HydroState
 from ..problems.base import ProblemSetup
-from ..utils.errors import BookLeafError, DeprecatedOptionError
+from ..utils.errors import BookLeafError
 from ..utils.timers import TimerRegistry
 from .backends import get_backend
 from .halo import Subdomain, build_subdomains
@@ -61,18 +61,6 @@ class DistributedHydro:
     backend:
         Execution backend name (``serial``, ``threads`` or
         ``processes`` — see :mod:`repro.parallel.backends`).
-    comm_plan:
-        ``"overlap"`` (default) runs the split-phase exchanges — the
-        kernels post a halo, compute their interior partition, and
-        complete it against the *neighbouring* ranks' counters only
-        (no global barrier); the dt reduction is a binomial combining
-        tree.  ``"packed"`` keeps PR 5's single-barrier collectives —
-        bit-identical to ``overlap`` and retained as the equivalence
-        baseline.  Both run over the same compiled
-        :class:`~repro.parallel.commplan.CommPlan` layouts.  The
-        pre-plan ``"legacy"`` protocol was removed; requesting it (or
-        passing ``None``) raises
-        :class:`~repro.utils.errors.DeprecatedOptionError`.
 
     For the in-process backends the per-rank ``hydros`` (and, for
     ``threads``, the shared ``context``) are live attributes that
@@ -89,7 +77,6 @@ class DistributedHydro:
                  metrics_every: int = 0,
                  watchdog_timeout: Optional[float] = None,
                  snapshot_dir: Optional[str] = None,
-                 comm_plan: str = "overlap",
                  artifacts=None):
         if nranks > 1 and setup.controls.ale_on \
                 and setup.controls.ale_mode != "eulerian":
@@ -112,18 +99,6 @@ class DistributedHydro:
         self.metrics_every = int(metrics_every or 0)
         self.watchdog_timeout = watchdog_timeout
         self.snapshot_dir = snapshot_dir
-        if comm_plan in (None, "legacy"):
-            raise DeprecatedOptionError(
-                "comm_plan='legacy'", "comm_plan='packed'",
-                context="repro.parallel.DistributedHydro",
-            )
-        if comm_plan not in ("packed", "overlap"):
-            raise BookLeafError(
-                f"unknown comm plan {comm_plan!r} "
-                "(expected 'overlap' or 'packed')"
-            )
-        #: exchange mode the backends hand every endpoint
-        self.comm_plan: str = comm_plan
         self.global_mesh = setup.state.mesh
         self._backend = get_backend(backend)
         self.backend_name = self._backend.name
@@ -298,7 +273,6 @@ class DistributedHydro:
             "nranks": self.nranks,
             "steps": steps,
             "backend": self.backend_name,
-            "comm_plan": self.comm_plan,
             **total,
             "bytes_per_step": total["bytes"] / steps if steps else 0.0,
             "messages_per_step": (total["messages"] / steps

@@ -30,7 +30,7 @@ supported selection surface is ``repro.api.RunConfig(backend=...)``.
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     Any, Dict, List, Optional, Protocol, Tuple, runtime_checkable,
 )
@@ -53,43 +53,19 @@ SEAM_METHODS: Dict[str, Tuple[str, ...]] = {
     "exchange_cell_fields": ("state",),
     "physical_boundary_sides": ("state",),
     "physical_boundary_side_mask": ("state",),
-    "comm_plan": (),
-    # -- split-phase (overlapped) exchange API -------------------------
-    # ``post_*`` starts an exchange (packs the staging block and
-    # publishes it to the neighbours), ``complete_*`` finishes it
-    # (waits for the neighbours' posts, then scatters/folds).  The
-    # kernels compute the interior partition between the two calls.
-    # Only meaningful when ``overlap_enabled()`` is true; the serial
-    # endpoint degrades them to no-ops and the packed endpoints reject
-    # them, so kernels gate the split path on ``overlap_enabled()``.
-    "overlap_enabled": (),
-    "post_kinematics": ("state",),
-    "complete_kinematics": ("state",),
-    "post_node_sums": ("state", "*partials"),
-    "complete_node_sums": ("state",),
-    "post_cell_arrays": ("*arrays",),
-    "complete_cell_arrays": ("*arrays",),
-    "post_cell_fields": ("state",),
-    "complete_cell_fields": ("state",),
 }
 
 #: the plan-aware internals of the *distributed* endpoints (the
 #: methods a compiled :class:`~repro.parallel.commplan.CommPlan`
 #: drives).  Not part of the kernel-facing seam — SerialComms has no
 #: exchanges to pack — but TyphonComms and ProcessComms must keep
-#: these signatures aligned or the packed/overlap branching drifts;
-#: check with ``seam_violations(cls, table=PLAN_METHODS)``.
+#: these signatures aligned or the two backends drift; check with
+#: ``seam_violations(cls, table=PLAN_METHODS)``.
 PLAN_METHODS: Dict[str, Tuple[str, ...]] = {
     "_exchange_kinematics": ("state",),
     "_complete_node_arrays": ("state", "*partials"),
     "_exchange_cell_arrays": ("*arrays",),
     "_reduce_dt": ("candidates",),
-    "_post_kinematics": ("state",),
-    "_complete_kinematics": ("state",),
-    "_post_node_sums": ("state", "*partials"),
-    "_complete_node_sums": ("state",),
-    "_post_cell_arrays": ("*arrays",),
-    "_complete_cell_arrays": ("*arrays",),
 }
 
 #: attributes every endpoint must expose (per-rank identity)
@@ -139,26 +115,6 @@ class CommEndpoint(Protocol):
     def physical_boundary_sides(self, state) -> Optional[np.ndarray]: ...
 
     def physical_boundary_side_mask(self, state) -> Optional[np.ndarray]: ...
-
-    def comm_plan(self): ...
-
-    def overlap_enabled(self) -> bool: ...
-
-    def post_kinematics(self, state) -> None: ...
-
-    def complete_kinematics(self, state) -> None: ...
-
-    def post_node_sums(self, state, *partials: np.ndarray) -> None: ...
-
-    def complete_node_sums(self, state) -> Tuple[np.ndarray, ...]: ...
-
-    def post_cell_arrays(self, *arrays: np.ndarray) -> None: ...
-
-    def complete_cell_arrays(self, *arrays: np.ndarray) -> None: ...
-
-    def post_cell_fields(self, state) -> None: ...
-
-    def complete_cell_fields(self, state) -> None: ...
 
 
 @dataclass

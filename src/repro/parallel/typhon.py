@@ -21,23 +21,16 @@ on every rank, so shared interface nodes receive *bit-identical*
 values everywhere and a decomposed run tracks the serial one to
 floating-point round-off only.
 
-Two exchange modes share the compiled CommPlans (docs/PARALLEL.md):
+Every halo exchange runs over the compiled CommPlans
+(docs/PARALLEL.md) as a single-barrier collective: pack this rank's
+blocks into its staging buffer, one barrier, read the peers' blocks.
 
-* ``packed`` — every exchange is a single-barrier collective (PR 5's
-  protocol, the equivalence baseline);
-* ``overlap`` — split-phase: ``post_*`` packs and publishes, the
-  caller computes its interior partition, ``complete_*`` waits only on
-  the *neighbouring* ranks' post counters (no global barrier) and
-  finishes the boundary strip.  Bit-identical to ``packed`` because
-  packing is a pure reorder and the nodal-sum completion replays the
-  exact ascending-rank fold over the shared-node union.
-
-The per-step dt reduction runs a **binomial-tree combining reduction**
-in both modes (min is exact, so the tree result is bitwise equal to a
-root gather): each rank combines its children's candidates, forwards
-one candidate to its parent, and the root's result flows back down —
-O(log P) hops on the critical path instead of the O(P) rank-0 serial
-gather, visible in ``CommStats.dt_hops``.
+The per-step dt reduction is a **binomial-tree combining reduction**
+(min is exact, so the tree result is bitwise equal to a root gather):
+each rank combines its children's candidates, forwards one candidate
+to its parent, and the root's result flows back down — O(log P) hops
+on the critical path instead of the O(P) rank-0 serial gather, visible
+in ``CommStats.dt_hops``.
 """
 
 from __future__ import annotations
@@ -45,14 +38,14 @@ from __future__ import annotations
 import threading
 import time
 from contextlib import nullcontext
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from ..core.timestep import Candidate
 from ..utils.errors import CommError
-from .commplan import CommPlan, SECTIONS, _widths, compile_plans
+from .commplan import CommPlan, _widths, compile_plans
 from .halo import Subdomain
 
 _FLOAT_BYTES = 8
@@ -65,17 +58,14 @@ DT_REDUCE_VALUES = 4
 #: candidates); the processes backend encodes them as small ints
 DT_REASONS = ("cfl", "div")
 
-#: exchange modes an endpoint can run (the ``comm_plan`` values)
-COMM_MODES = ("packed", "overlap")
-
-#: seconds a split-phase/tree spin-wait may starve before declaring
+#: seconds a dt-tree spin-wait may starve before declaring
 #: the run wedged (the backends' watchdogs normally fire first)
 SPIN_TIMEOUT = 120.0
 
 #: spin-wait backoff ceiling.  Virtual ranks oversubscribe the host,
 #: so a waiter must *sleep*, not yield: every quantum it burns polling
-#: is a quantum stolen from the very peer it is waiting on (the packed
-#: mode's Barrier sleeps on a condition variable and sets the bar).
+#: is a quantum stolen from the very peer it is waiting on (the halo
+#: exchanges' Barrier sleeps on a condition variable and sets the bar).
 #: A handful of free polls catch the already-arrived case; after that
 #: the sleep doubles from 2 µs up to this ceiling.
 SPIN_MAX_SLEEP = 500e-6
@@ -167,26 +157,16 @@ class TyphonContext:
         self.pslots: List[List[Optional[object]]] = [
             [None] * self.size, [None] * self.size,
         ]
-        #: split-phase neighbour-sync counters, one pair per (rank,
-        #: section): cumulative posts and completes.  Single writer
-        #: (the owning rank), GIL-atomic int stores — the overlap mode
-        #: synchronises on these instead of the global barrier.
-        self.posted: List[Dict[str, int]] = [
-            dict.fromkeys(SECTIONS, 0) for _ in range(self.size)
-        ]
-        self.completed: List[Dict[str, int]] = [
-            dict.fromkeys(SECTIONS, 0) for _ in range(self.size)
-        ]
         #: binomial-tree dt combining cells: ``dt_up[r]`` holds rank
         #: r's combined candidate for its parent, ``dt_down[r]`` the
         #: broadcast result for r's children — each a ``(generation,
         #: candidate)`` tuple, single writer, generation-guarded reads.
         self.dt_up: List[Optional[tuple]] = [None] * self.size
         self.dt_down: List[Optional[tuple]] = [None] * self.size
-        #: per-rank wake-up conditions for the split-phase/tree waits:
-        #: a publisher notifies exactly the ranks whose predicates
-        #: watch the advanced counter, so waiters sleep event-driven
-        #: (like the packed Barrier) instead of burning the quantum the
+        #: per-rank wake-up conditions for the dt-tree waits: a
+        #: publisher notifies exactly the ranks whose predicates watch
+        #: the advanced cell, so waiters sleep event-driven (like the
+        #: halo Barrier) instead of burning the quantum the
         #: awaited peer needs — on an oversubscribed host a polling
         #: waiter pays either stolen CPU or wake-up latency; a
         #: condition variable pays neither, and per-rank conditions
@@ -228,7 +208,7 @@ class TyphonContext:
 
     def abort(self) -> None:
         """Mark the run failed and release everyone stuck in a barrier
-        or a split-phase wait."""
+        or a dt-tree wait."""
         self._failure.set()
         self.barrier.abort()
         for cv in self.rank_cv:
@@ -269,20 +249,11 @@ class TyphonComms:
     """One rank's communication endpoint (plugs into the comms seam).
 
     Every exchange runs over the compiled
-    :class:`~repro.parallel.commplan.CommPlan`.  In ``packed`` mode it
-    is the single-sync protocol: gather the halo values into this
-    rank's preallocated staging buffer, one barrier, read the peers'
-    packed blocks.  In ``overlap`` mode the same staging carries the
-    split-phase protocol: ``post_*`` packs at parity ``k & 1`` of the
-    per-section op counter and publishes the rank's post counter;
-    ``complete_*`` spins only on the *source* neighbours' post
-    counters, and a post may only reuse a parity half once every
-    *reader* neighbour's complete counter shows the k−2 read finished.
-    No global barrier is involved, so ranks slide past each other by
-    up to one exchange — and the blocking seam methods degrade to
-    post + complete back to back.
+    :class:`~repro.parallel.commplan.CommPlan` as a single-sync
+    protocol: gather the halo values into this rank's preallocated
+    staging buffer, one barrier, read the peers' packed blocks.
 
-    Packed nodal-sum totals are returned as rows of a reused arena
+    Nodal-sum totals are returned as rows of a reused arena
     buffer: they stay valid until the *next-but-one* completion with
     the same field count (double-buffered by parity), which covers
     every caller in the step loop — long-lived results must be
@@ -293,10 +264,7 @@ class TyphonComms:
     __comm_endpoint__ = True
 
     def __init__(self, ctx: TyphonContext, sub: Subdomain, tracer=None,
-                 plan: Optional[CommPlan] = None, mode: str = "packed"):
-        if mode not in COMM_MODES:
-            raise CommError(f"unknown comm mode {mode!r}; "
-                            f"expected one of {COMM_MODES}")
+                 plan: Optional[CommPlan] = None):
         self.ctx = ctx
         self.sub = sub
         self.rank = sub.rank
@@ -308,31 +276,17 @@ class TyphonComms:
         #: trace, load imbalance shows up as long comm spans)
         self.tracer = tracer
         self.plan = plan if plan is not None else ctx.plans[self.rank]
-        self.mode = mode
-        #: collective-phase counter: parity selects the pslot row (and,
-        #: in packed mode, the staging half).  Advanced once per
-        #: barrier collective on every rank — the op sequence is SPMD,
-        #: so the counters agree globally.
+        #: collective-phase counter: parity selects the pslot row and
+        #: the staging half.  Advanced once per barrier collective on
+        #: every rank — the op sequence is SPMD, so the counters agree
+        #: globally.
         self._phase = 0
-        #: per-section split-phase op counts (parity source in overlap
-        #: mode) and the in-flight post bookkeeping
-        self._ops: Dict[str, int] = dict.fromkeys(SECTIONS, 0)
-        self._pending: Dict[str, int] = {}
-        self._pending_sums: Optional[tuple] = None
         #: dt-reduction generation (guards the combining cells' reuse)
         self._dt_gen = 0
         from ..perf.workspace import Workspace
 
         #: arena for the reusable nodal-sum totals buffers
         self._ws = Workspace()
-
-    def comm_plan(self) -> Optional[CommPlan]:
-        """This endpoint's compiled plan."""
-        return self.plan
-
-    def overlap_enabled(self) -> bool:
-        """True when the split-phase (overlapped) protocol is active."""
-        return self.mode == "overlap"
 
     def _span(self, name: str):
         tracer = self.tracer
@@ -362,7 +316,7 @@ class TyphonComms:
         self._phase += 1
 
     # ------------------------------------------------------------------
-    # split-phase neighbour synchronisation (overlap mode)
+    # dt-tree neighbour synchronisation
     # ------------------------------------------------------------------
     def _spin(self, ready, what: str) -> None:
         """Wait until ``ready()`` — event-driven, never a global
@@ -394,66 +348,6 @@ class TyphonComms:
             with cv:
                 cv.notify_all()
 
-    def _post_section(self, name: str, arrays) -> int:
-        """Pack op k of ``name`` and publish the post counter.
-
-        Guards: at most one in-flight post per section (a same-parity
-        double post would overwrite the half a peer may still read),
-        and the parity half of op k is only reclaimed once every
-        reader's complete counter proves the op k−2 read finished.
-        """
-        if self.mode != "overlap":
-            raise CommError(
-                "split-phase exchange requires comm_plan='overlap' "
-                f"(this endpoint runs {self.mode!r})"
-            )
-        if name in self._pending:
-            raise CommError(
-                f"rank {self.rank}: {name} exchange already posted — "
-                "a second same-parity post must wait for complete"
-            )
-        k = self._ops[name]
-        sec = self.plan.section(name)
-        for peer in sec.send_peers:
-            self._spin(
-                lambda p=peer: self.ctx.completed[p][name] >= k - 1,
-                f"rank {peer} to finish reading {name} op {k - 2}",
-            )
-        sec.pack(self._my_region(name, k & 1), arrays)
-        self.ctx.posted[self.rank][name] = k + 1
-        # readers of this staging block spin on the post counter
-        self._announce(sec.send_peers)
-        self._pending[name] = k
-        return k
-
-    def _begin_complete(self, name: str) -> int:
-        """Wait for every source neighbour's op-k post; return k."""
-        if self.mode != "overlap":
-            raise CommError(
-                "split-phase exchange requires comm_plan='overlap' "
-                f"(this endpoint runs {self.mode!r})"
-            )
-        k = self._pending.get(name)
-        if k is None:
-            raise CommError(
-                f"rank {self.rank}: complete_{name} without a post"
-            )
-        sec = self.plan.section(name)
-        for peer in sec.recv_peers:
-            self._spin(
-                lambda p=peer: self.ctx.posted[p][name] >= k + 1,
-                f"rank {peer} to post {name} op {k}",
-            )
-        return k
-
-    def _end_complete(self, name: str, k: int) -> None:
-        self.ctx.completed[self.rank][name] = k + 1
-        # ranks that send to us spin on the complete counter before
-        # reclaiming the parity half we just finished reading
-        self._announce(self.plan.section(name).recv_peers)
-        del self._pending[name]
-        self._ops[name] = k + 1
-
     # ------------------------------------------------------------------
     # kinematic halo exchange (before the viscosity kernel)
     # ------------------------------------------------------------------
@@ -463,24 +357,14 @@ class TyphonComms:
             self._exchange_kinematics(state)
 
     def _exchange_kinematics(self, state) -> None:
-        if self.mode == "overlap":
-            self._post_kinematics(state)
-            self._complete_kinematics(state)
-            return
-        # Packed mode: one (4, n) coalesced message per neighbour,
-        # one sync.  The trailing barrier is unnecessary because the
-        # next collective writes the opposite parity half.
-        ctx = self.ctx
+        # One (4, n) coalesced message per neighbour, one sync.  The
+        # trailing barrier is unnecessary because the next collective
+        # writes the opposite parity half.
+        parity = self._phase & 1
         sec = self.plan.kin
-        sec.pack(self._my_region("kin", self._phase & 1),
+        sec.pack(self._my_region("kin", parity),
                  (state.x, state.y, state.u, state.v))
-        ctx.sync()  # every rank's halo block staged
-        self._unpack_kinematics(state, self._phase & 1)
-        self._phase += 1
-
-    def _unpack_kinematics(self, state, parity: int) -> None:
-        """Scatter every source neighbour's staged (4, n) block."""
-        sec = self.plan.kin
+        self.ctx.sync()  # every rank's halo block staged
         for src_rank, local_idx in self.sub.recv_nodes.items():
             bx, by, bu, bv = sec.peer_blocks(
                 src_rank, self._peer_region(src_rank, "kin", parity),
@@ -492,27 +376,7 @@ class TyphonComms:
             state.v[local_idx] = bv
             self.stats.account(4 * local_idx.size)
         self.stats.halo_exchanges += 1
-
-    def post_kinematics(self, state) -> None:
-        """Start the kinematic halo refresh (overlap mode): pack this
-        rank's send blocks and publish — the caller may now compute
-        the interior partition (``plan.interior_cells``)."""
-        with self._span("typhon.post_kinematics"):
-            self._post_kinematics(state)
-
-    def _post_kinematics(self, state) -> None:
-        self._post_section("kin", (state.x, state.y, state.u, state.v))
-
-    def complete_kinematics(self, state) -> None:
-        """Finish a posted kinematic refresh: wait for the source
-        neighbours' posts, scatter the ghost rows."""
-        with self._span("typhon.complete_kinematics"):
-            self._complete_kinematics(state)
-
-    def _complete_kinematics(self, state) -> None:
-        k = self._begin_complete("kin")
-        self._unpack_kinematics(state, k & 1)
-        self._end_complete("kin", k)
+        self._phase += 1
 
     # ------------------------------------------------------------------
     # nodal sum completion (inside the acceleration kernel)
@@ -531,22 +395,22 @@ class TyphonComms:
 
     def _complete_node_arrays(self, state, *partials: np.ndarray
                               ) -> Tuple[np.ndarray, ...]:
-        if self.mode == "overlap":
-            self._post_node_sums(state, *partials)
-            return self._complete_node_sums(state)
-        # Packed mode: stage only the *shared-node* values (one
-        # coalesced message per peer), one sync, fold into reused
-        # arena totals.  The fold visits the ascending rank sequence
-        # with this rank's own partial in its sorted position, so
-        # shared nodes accumulate in a fixed order bit for bit.
+        # Stage only the *shared-node* values (one coalesced message
+        # per peer), one sync, fold into reused arena totals
+        # (double-buffered by parity).  The fold visits the ascending
+        # rank sequence with this rank's own partial in its sorted
+        # position, so shared nodes accumulate in a fixed order bit
+        # for bit.
         ctx = self.ctx
         parity = self._phase & 1
         sec = self.plan.nodesum
         sec.pack(self._my_region("nodesum", parity), partials)
         ctx.sync()  # every rank's shared-node block staged
-        totals = self._totals_buffer(partials, parity)
-        widths = _widths(partials)
         nf = len(partials)
+        buf = self._ws.zeros(f"commplan.totals{nf}.{parity}",
+                             (nf, partials[0].shape[0]))
+        totals = tuple(buf[i] for i in range(nf))
+        widths = _widths(partials)
         ranks = sorted(set(self.sub.shared_nodes) | {self.rank})
         for r in ranks:
             if r == self.rank:
@@ -562,72 +426,6 @@ class TyphonComms:
                 self.stats.account(nf * mine.size)
         self.stats.halo_exchanges += 1
         self._phase += 1
-        return totals
-
-    def _totals_buffer(self, partials, parity: int
-                       ) -> Tuple[np.ndarray, ...]:
-        """Zeroed arena rows for the completed totals, double-buffered
-        by parity (valid until the next-but-one same-width completion)."""
-        nf = len(partials)
-        buf = self._ws.zeros(f"commplan.totals{nf}.{parity}",
-                             (nf, partials[0].shape[0]))
-        return tuple(buf[i] for i in range(nf))
-
-    def post_node_sums(self, state, *partials: np.ndarray) -> None:
-        """Start a nodal-sum completion (overlap mode): stage this
-        rank's shared-node blocks and pre-fill the totals with the
-        local partials — every node *not* shared with a peer is final
-        immediately; ``complete_node_sums`` re-folds only the shared
-        union strip."""
-        with self._span("typhon.post_node_sums"):
-            self._post_node_sums(state, *partials)
-
-    def _post_node_sums(self, state, *partials: np.ndarray) -> None:
-        k = self._post_section("nodesum", partials)
-        totals = self._totals_buffer(partials, k & 1)
-        # 0 + p elementwise — identical to the blocking fold's first
-        # visit, so interior (unshared) nodes are already bit-final
-        for total, p in zip(totals, partials):
-            total += p
-        self._pending_sums = (partials, totals)
-
-    def complete_node_sums(self, state) -> Tuple[np.ndarray, ...]:
-        """Finish a posted nodal-sum completion: wait for the peers'
-        posts, then replay the exact ascending-rank fold over the
-        shared-node union (re-zeroed first), keeping shared totals
-        bit-identical to the blocking path."""
-        with self._span("typhon.complete_node_sums"):
-            return self._complete_node_sums(state)
-
-    def _complete_node_sums(self, state) -> Tuple[np.ndarray, ...]:
-        k = self._begin_complete("nodesum")
-        if self._pending_sums is None:
-            raise CommError(
-                f"rank {self.rank}: complete_node_sums without a post"
-            )
-        partials, totals = self._pending_sums
-        self._pending_sums = None
-        sec = self.plan.nodesum
-        union = self.plan.shared_union
-        widths = _widths(partials)
-        nf = len(partials)
-        for total in totals:
-            total[union] = 0.0
-        ranks = sorted(set(self.sub.shared_nodes) | {self.rank})
-        for r in ranks:
-            if r == self.rank:
-                for total, p in zip(totals, partials):
-                    total[union] += p[union]
-            else:
-                mine = self.sub.shared_nodes[r]
-                blocks = sec.peer_blocks(
-                    r, self._peer_region(r, "nodesum", k & 1), widths
-                )
-                for total, block in zip(totals, blocks):
-                    total[mine] += block
-                self.stats.account(nf * mine.size)
-        self.stats.halo_exchanges += 1
-        self._end_complete("nodesum", k)
         return totals
 
     def assemble_node_sums(self, state, fx: np.ndarray, fy: np.ndarray
@@ -650,7 +448,7 @@ class TyphonComms:
             return self._reduce_dt(candidates)
 
     def _reduce_dt(self, candidates: List[Candidate]) -> Candidate:
-        """Binomial-tree combining reduction (both modes).
+        """Binomial-tree combining reduction.
 
         Up-sweep: combine the children's candidates into this rank's
         local best and hand one candidate to the parent; down-sweep:
@@ -755,22 +553,13 @@ class TyphonComms:
             self._exchange_cell_arrays(*arrays)
 
     def _exchange_cell_arrays(self, *arrays: np.ndarray) -> None:
-        if self.mode == "overlap":
-            self._post_cell_arrays(*arrays)
-            self._complete_cell_arrays(*arrays)
-            return
-        # Packed mode: all cell fields coalesce into one block per
-        # neighbour (scalars and (n, 4) corner fields interleaved by
-        # the plan's per-array widths), one sync.
-        ctx = self.ctx
+        # All cell fields coalesce into one block per neighbour
+        # (scalars and (n, 4) corner fields interleaved by the plan's
+        # per-array widths), one sync.
+        parity = self._phase & 1
         sec = self.plan.cell
-        sec.pack(self._my_region("cell", self._phase & 1), arrays)
-        ctx.sync()  # every rank's ghost-cell block staged
-        self._unpack_cell_arrays(arrays, self._phase & 1)
-        self._phase += 1
-
-    def _unpack_cell_arrays(self, arrays, parity: int) -> None:
-        sec = self.plan.cell
+        sec.pack(self._my_region("cell", parity), arrays)
+        self.ctx.sync()  # every rank's ghost-cell block staged
         widths = _widths(arrays)
         for src_rank, local_idx in self.sub.recv_cells.items():
             blocks = sec.peer_blocks(
@@ -783,41 +572,11 @@ class TyphonComms:
                 nvalues += block.size
             self.stats.account(nvalues)
         self.stats.halo_exchanges += 1
-
-    def post_cell_arrays(self, *arrays: np.ndarray) -> None:
-        """Start a ghost-cell refresh (overlap mode): pack and publish
-        this rank's owned-cell blocks."""
-        with self._span("typhon.post_cell_arrays"):
-            self._post_cell_arrays(*arrays)
-
-    def _post_cell_arrays(self, *arrays: np.ndarray) -> None:
-        self._post_section("cell", arrays)
-
-    def complete_cell_arrays(self, *arrays: np.ndarray) -> None:
-        """Finish a posted ghost-cell refresh (pass the same arrays)."""
-        with self._span("typhon.complete_cell_arrays"):
-            self._complete_cell_arrays(*arrays)
-
-    def _complete_cell_arrays(self, *arrays: np.ndarray) -> None:
-        k = self._begin_complete("cell")
-        self._unpack_cell_arrays(arrays, k & 1)
-        self._end_complete("cell", k)
+        self._phase += 1
 
     def exchange_cell_fields(self, state) -> None:
         """Refresh ghost thermodynamics and masses before a remap."""
         self.exchange_cell_arrays(
-            state.rho, state.e, state.cell_mass, state.corner_mass
-        )
-
-    def post_cell_fields(self, state) -> None:
-        """Start the ghost thermodynamic/mass refresh (overlap mode)."""
-        self.post_cell_arrays(
-            state.rho, state.e, state.cell_mass, state.corner_mass
-        )
-
-    def complete_cell_fields(self, state) -> None:
-        """Finish the posted ghost thermodynamic/mass refresh."""
-        self.complete_cell_arrays(
             state.rho, state.e, state.cell_mass, state.corner_mass
         )
 

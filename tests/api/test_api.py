@@ -107,8 +107,9 @@ def test_config_validation_errors():
         RunConfig().build_setup()
     with pytest.raises(BookLeafError, match="deck"):
         RunConfig(deck="sod.in", nx=10).build_setup()
-    with pytest.raises(BookLeafError, match="unknown run option"):
-        run(problem="noh", bogus=1)
+    for option in ("bogus", "comm_plan"):
+        with pytest.raises(BookLeafError, match="unknown run option"):
+            run(problem="noh", **{option: "packed"})
     with pytest.raises(BookLeafError, match="not both"):
         run(_config(), problem="sod")
 

@@ -17,11 +17,11 @@ from repro.api import CANONICAL_KEY_VERSION, RunConfig
 from repro.fleet import job_key
 
 GOLDEN_KEY = \
-    "483a0e7f3f70f4c5b7891fff764be9aa83fb88bd03497f4e99fba6358eadd91a"
+    "b1a97f8c27f6626a32b3bfac9675488f394583568e04b52066eedae71f97d06d"
 
 
 def test_golden_key_is_pinned():
-    assert CANONICAL_KEY_VERSION == 2
+    assert CANONICAL_KEY_VERSION == 3
     assert __version__ == "1.1.0", (
         "version bump: recompute GOLDEN_KEY (the code version enters "
         "the cache key so stale caches self-invalidate)")
@@ -130,8 +130,9 @@ def test_frozen_config_replace():
     assert other.nx == 32 and config.nx == 16
     from repro.utils.errors import BookLeafError
 
-    with pytest.raises(BookLeafError, match="unknown RunConfig field"):
-        config.replace(bogus=1)
+    for option in ("bogus", "comm_plan"):
+        with pytest.raises(BookLeafError, match="unknown RunConfig field"):
+            config.replace(**{option: "packed"})
 
 
 def test_config_is_hashable():

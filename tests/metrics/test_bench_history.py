@@ -52,38 +52,13 @@ def _scaling(comm_seconds, nranks=4, bytes_per_step=21962.0):
     return {
         "bench": "commplan-scaling",
         "cases": [{"backend": "threads", "nranks": nranks,
-                   "comm_plan": "packed", "steps": 20,
+                   "steps": 20,
                    "wall_seconds": comm_seconds * 3,
                    "comm_seconds": comm_seconds,
                    "bytes_per_step": bytes_per_step,
                    "messages_per_step": 15.8,
                    "efficiency": 0.2}],
-        "packed_vs_legacy": {"nranks": nranks,
-                             "message_reduction": 2.14},
-        "mailbox": {"nranks": nranks, "ratio": 9.1},
-    }
-
-
-def _overlap(wall, comm, overlap, plan="overlap", nranks=4,
-             bytes_per_step=21962.0, samples=2):
-    return {
-        "bench": "comm-overlap-scaling",
-        "cases": [{"backend": "threads", "nranks": nranks,
-                   "comm_plan": plan, "steps": 40,
-                   "wall_seconds": wall,
-                   "comm_seconds": comm,
-                   "comm_overlap_seconds": overlap,
-                   "bytes_per_step": bytes_per_step,
-                   "messages_per_step": 15.8,
-                   "efficiency": 0.25,
-                   "samples": samples,
-                   "sample_seconds": [wall] * samples}],
-        "overlap_vs_packed": {"rungs": [{
-            "backend": "threads", "nranks": nranks,
-            "packed_comm_seconds": comm * 1.4,
-            "overlap_comm_seconds": comm,
-            "speedup": 1.05,
-        }]},
+        "cpus_visible": 2,
         "mailbox": {"nranks": nranks, "ratio": 9.1},
     }
 
@@ -144,7 +119,7 @@ def test_scaling_fold_keeps_best_times_latest_volume():
     assert run["documents"] == 2
     # deterministic volume comes from the latest document, not min()
     assert run["bytes_per_step"] == 21962.0
-    assert section["packed_vs_legacy"]["message_reduction"] == 2.14
+    assert section["cpus_visible"] == 2
     assert section["mailbox"]["ratio"] == 9.1
 
 
@@ -155,39 +130,6 @@ def test_scaling_summary_composes():
     f = folded["benches"]["commplan-scaling"]["runs"][0]
     d = direct["benches"]["commplan-scaling"]["runs"][0]
     assert f["comm_seconds"] == d["comm_seconds"] == 0.50
-    assert folded["documents_merged"] == direct["documents_merged"] == 2
-
-
-def test_overlap_fold_keys_per_plan_and_keeps_best():
-    summary = bench_history.merge([
-        _overlap(1.20, 0.60, 0.030),
-        _overlap(1.00, 0.55, 0.025),                  # faster
-        _overlap(1.40, 0.80, 0.000, plan="packed"),   # other plan
-    ])
-    section = summary["benches"]["comm-overlap-scaling"]
-    by_plan = {r["comm_plan"]: r for r in section["runs"]}
-    assert by_plan["overlap"]["wall_seconds"] == 1.00
-    assert by_plan["overlap"]["comm_seconds"] == 0.55
-    assert by_plan["overlap"]["comm_overlap_seconds"] == 0.025
-    assert by_plan["overlap"]["documents"] == 2
-    assert by_plan["overlap"]["samples"] == 4
-    assert by_plan["packed"]["wall_seconds"] == 1.40
-    # duel + mailbox blocks ride along from the latest document
-    (rung,) = section["overlap_vs_packed"]["rungs"]
-    assert rung["overlap_comm_seconds"] == 0.80
-    assert section["mailbox"]["ratio"] == 9.1
-
-
-def test_overlap_summary_composes():
-    first = bench_history.merge([_overlap(1.20, 0.60, 0.030)])
-    folded = bench_history.merge([first, _overlap(1.00, 0.55, 0.025)])
-    direct = bench_history.merge([_overlap(1.20, 0.60, 0.030),
-                                  _overlap(1.00, 0.55, 0.025)])
-    f = folded["benches"]["comm-overlap-scaling"]["runs"][0]
-    d = direct["benches"]["comm-overlap-scaling"]["runs"][0]
-    assert f["wall_seconds"] == d["wall_seconds"] == 1.00
-    assert f["comm_overlap_seconds"] == d["comm_overlap_seconds"] == 0.025
-    assert f["samples"] == d["samples"] == 4
     assert folded["documents_merged"] == direct["documents_merged"] == 2
 
 

@@ -22,24 +22,32 @@ from repro.utils.errors import BookLeafError
 FIELDS = ("x", "y", "u", "v", "rho", "e", "p", "cs2", "q",
           "cell_mass", "volume", "corner_mass", "corner_volume")
 
+#: case name -> (problem, settings)
 CASES = {
-    "sod": dict(nx=24, ny=4),
-    "noh": dict(nx=16, ny=16),
+    "sod": ("sod", dict(nx=24, ny=4)),
+    "noh": ("noh", dict(nx=16, ny=16)),
+    # the decomposed Eulerian remap: cell-field and gradient halos
+    "sod_ale": ("sod", dict(nx=24, ny=4, ale_on=True)),
 }
 
 
-def _run(problem, nranks, backend, max_steps=20, trace=False):
-    setup = load_problem(problem, **CASES[problem])
+def _setup(case):
+    problem, settings = CASES[case]
+    return load_problem(problem, **settings)
+
+
+def _run(case, nranks, backend, max_steps=20, trace=False):
+    setup = _setup(case)
     driver = DistributedHydro(setup, nranks, backend=backend, trace=trace)
     driver.run(max_steps=max_steps)
     return driver
 
 
 @pytest.mark.parametrize("nranks", [2, 4])
-@pytest.mark.parametrize("problem", ["sod", "noh"])
-def test_threads_processes_bit_identical(problem, nranks):
-    threads = _run(problem, nranks, "threads")
-    procs = _run(problem, nranks, "processes")
+@pytest.mark.parametrize("case", ["sod", "noh", "sod_ale"])
+def test_threads_processes_bit_identical(case, nranks):
+    threads = _run(case, nranks, "threads")
+    procs = _run(case, nranks, "processes")
     assert procs.nstep == threads.nstep
     assert procs.time == threads.time
     g_threads, g_procs = threads.gather(), procs.gather()
@@ -53,7 +61,7 @@ def test_threads_processes_bit_identical(problem, nranks):
 
 @pytest.mark.parametrize("problem", ["sod", "noh"])
 def test_backends_match_serial_to_roundoff(problem):
-    setup = load_problem(problem, **CASES[problem])
+    setup = _setup(problem)
     serial = setup.make_hydro()
     serial.run(max_steps=20)
     for backend in ("threads", "processes"):
@@ -76,7 +84,7 @@ def test_span_streams_identical_across_backends():
 
 
 def test_serial_backend_equals_plain_hydro():
-    setup = load_problem("sod", **CASES["sod"])
+    setup = _setup("sod")
     plain = setup.make_hydro()
     plain.run(max_steps=20)
     driver = _run("sod", 1, "serial")
@@ -108,7 +116,7 @@ def test_rank_failure_aborts_run_and_names_rank(monkeypatch, backend):
     def boom(hydro):
         raise RuntimeError("injected fault")
 
-    setup = load_problem("noh", **CASES["noh"])
+    setup = _setup("noh")
     driver = DistributedHydro(setup, 2, backend=backend)
     _fail_on_rank(monkeypatch, 1, boom)
     with pytest.raises(BookLeafError, match="rank 1 failed") as exc:
@@ -121,7 +129,7 @@ def test_threads_failure_chains_original_traceback(monkeypatch):
     def boom(hydro):
         raise RuntimeError("injected fault")
 
-    setup = load_problem("noh", **CASES["noh"])
+    setup = _setup("noh")
     driver = DistributedHydro(setup, 2, backend="threads")
     _fail_on_rank(monkeypatch, 1, boom)
     with pytest.raises(BookLeafError) as exc:
@@ -137,7 +145,7 @@ def test_processes_failure_carries_remote_traceback(monkeypatch):
     def boom(hydro):
         raise RuntimeError("injected fault")
 
-    setup = load_problem("noh", **CASES["noh"])
+    setup = _setup("noh")
     driver = DistributedHydro(setup, 2, backend="processes")
     _fail_on_rank(monkeypatch, 1, boom)
     with pytest.raises(BookLeafError) as exc:
@@ -155,7 +163,7 @@ def test_killed_rank_process_aborts_cleanly(monkeypatch):
     def die(hydro):
         os.kill(os.getpid(), signal.SIGKILL)
 
-    setup = load_problem("noh", **CASES["noh"])
+    setup = _setup("noh")
     driver = DistributedHydro(setup, 2, backend="processes")
     _fail_on_rank(monkeypatch, 1, die)
     with pytest.raises(BookLeafError, match="rank 1 failed") as exc:

@@ -2,13 +2,10 @@
 
 The packed exchange protocol (:mod:`repro.parallel.commplan`) sends
 one coalesced message per neighbour per exchange out of preallocated
-staging; the overlapped split-phase protocol must be a pure reorder of
-it — same bytes, same messages, same summation order, bit-identical
-physics.  These tests hold the compiler's layout algebra (including
-the interior/boundary classification), the endpoints on both
-distributed backends, the static-vs-measured traffic reconciliation
-and the processes backend's halo-sized mailbox sizing to that
-contract.
+staging.  These tests hold the compiler's layout algebra, the
+endpoints on both distributed backends, the static-vs-measured traffic
+reconciliation and the processes backend's halo-sized mailbox sizing
+to that contract.
 """
 
 import numpy as np
@@ -120,65 +117,25 @@ def test_kinematic_messages_are_coalesced_per_link():
     dt_initial without a reduction)."""
     assert KIN_FIELDS == 4  # x, y, u, v — would be 4x the messages unpacked
     setup = load_problem("sod", nx=24, ny=4)
-    driver = DistributedHydro(setup, 2, backend="threads",
-                              comm_plan="packed")
+    driver = DistributedHydro(setup, 2, backend="threads")
     steps = driver.run(max_steps=10)
     total = driver.comm_totals()
     assert total["messages"] == 2 * (2 * steps + (steps - 1))
 
 
 # ----------------------------------------------------------------------
-# bit-identity: overlap vs packed, both distributed backends
+# bit-identity across the two distributed backends
 # ----------------------------------------------------------------------
-def _gathered(problem, nranks, backend, comm_plan, ale_on=False,
-              **kwargs):
-    setup = load_problem(problem, ale_on=ale_on, **kwargs)
-    driver = DistributedHydro(setup, nranks, backend=backend,
-                              comm_plan=comm_plan)
+def _gathered(problem, nranks, backend, **kwargs):
+    setup = load_problem(problem, **kwargs)
+    driver = DistributedHydro(setup, nranks, backend=backend)
     driver.run(max_steps=15)
     return driver
 
 
-@pytest.mark.parametrize("nranks", [2, 4])
-@pytest.mark.parametrize("ale_on", [False, True],
-                         ids=["lagrangian", "eulerian"])
-def test_threads_overlap_bit_identical_to_packed(nranks, ale_on):
-    overlap = _gathered("sod", nranks, "threads", "overlap",
-                        ale_on=ale_on, nx=32, ny=6)
-    packed = _gathered("sod", nranks, "threads", "packed",
-                       ale_on=ale_on, nx=32, ny=6)
-    assert overlap.nstep == packed.nstep
-    go, gp = overlap.gather(), packed.gather()
-    for name in FIELDS:
-        assert np.array_equal(getattr(go, name), getattr(gp, name)), name
-    # The split-phase reorder changes no accounting at all.
-    assert overlap.per_rank_comm() == packed.per_rank_comm()
-
-
-def test_processes_overlap_bit_identical_to_packed():
-    overlap = _gathered("sod", 2, "processes", "overlap", nx=24, ny=4)
-    packed = _gathered("sod", 2, "processes", "packed", nx=24, ny=4)
-    go, gp = overlap.gather(), packed.gather()
-    for name in FIELDS:
-        assert np.array_equal(getattr(go, name), getattr(gp, name)), name
-    assert overlap.per_rank_comm() == packed.per_rank_comm()
-
-
-def test_legacy_comm_plan_raises_structured_error():
-    from repro.utils.errors import DeprecatedOptionError
-
-    setup = load_problem("sod", nx=16, ny=4)
-    for spelling in ("legacy", None):
-        with pytest.raises(DeprecatedOptionError) as err:
-            DistributedHydro(setup, 2, backend="threads",
-                             comm_plan=spelling)
-        assert err.value.option == "comm_plan='legacy'"
-        assert err.value.replacement == "comm_plan='packed'"
-
-
 def test_packed_counters_identical_across_backends():
-    threads = _gathered("noh", 2, "threads", "packed", nx=16, ny=16)
-    procs = _gathered("noh", 2, "processes", "packed", nx=16, ny=16)
+    threads = _gathered("noh", 2, "threads", nx=16, ny=16)
+    procs = _gathered("noh", 2, "processes", nx=16, ny=16)
     assert procs.per_rank_comm() == threads.per_rank_comm()
     for name in FIELDS:
         assert np.array_equal(getattr(threads.gather(), name),
@@ -188,8 +145,7 @@ def test_packed_counters_identical_across_backends():
 # ----------------------------------------------------------------------
 # reconciliation: static traffic estimate vs measured counters
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("comm_plan", ["packed", "overlap"])
-def test_traffic_matrix_reconciles_with_measured_bytes(comm_plan):
+def test_traffic_matrix_reconciles_with_measured_bytes():
     """For a pure-Lagrangian run, every rank's *measured* CommStats
     bytes must equal the static per-step estimate
     (``TyphonContext.traffic_matrix`` column) times the step count,
@@ -197,8 +153,7 @@ def test_traffic_matrix_reconciles_with_measured_bytes(comm_plan):
     ``dt_initial`` without a reduction, hence ``steps - 1``) — catching
     schedule or accounting drift in either direction."""
     setup = load_problem("sod", nx=24, ny=6)
-    driver = DistributedHydro(setup, 3, backend="threads",
-                              comm_plan=comm_plan)
+    driver = DistributedHydro(setup, 3, backend="threads")
     steps = driver.run(max_steps=12)
     matrix = driver.context.traffic_matrix()
     for rank, entry in enumerate(driver.per_rank_comm()):

@@ -3,10 +3,13 @@
 The communication seam is a typed contract
 (:mod:`repro.parallel.interface`): these tests hold every
 implementation — serial, threads, processes — against the full seam
-table so the endpoints cannot drift apart silently again.
+table so the endpoints cannot drift apart silently again.  The dt
+reduction's binomial-tree shape is checked here too, from the
+``dt_hops``/``dt_reductions`` counters both distributed endpoints keep.
 """
 
 import inspect
+import math
 
 import pytest
 
@@ -72,54 +75,20 @@ def test_seam_table_matches_protocol_definition():
     assert proto_methods == set(SEAM_METHODS)
 
 
-def test_comm_plan_is_part_of_the_seam():
-    """The plan accessor is seam API: kernels and telemetry may ask
-    any endpoint for its compiled plan (None on serial)."""
-    assert "comm_plan" in SEAM_METHODS
-    assert NullComms().comm_plan() is None
-
-
-def test_split_phase_methods_are_part_of_the_seam():
-    """The overlapped protocol's post/complete halves are seam API on
-    every endpoint — serial degenerates them to no-ops, the distributed
-    endpoints keep them in signature lockstep via PLAN_METHODS."""
-    for name in ("post_kinematics", "complete_kinematics",
-                 "post_cell_fields", "complete_cell_fields",
-                 "post_node_sums", "complete_node_sums",
-                 "post_cell_arrays", "complete_cell_arrays",
-                 "overlap_enabled"):
-        assert name in SEAM_METHODS, name
-    for name in ("_post_kinematics", "_complete_kinematics",
-                 "_post_node_sums", "_complete_node_sums",
-                 "_post_cell_arrays", "_complete_cell_arrays",
-                 "_reduce_dt"):
-        assert name in PLAN_METHODS, name
-    serial = NullComms()
-    assert serial.overlap_enabled() is False
+def test_seam_has_one_exchange_per_point():
+    """One blocking call per exchange point: the seam and the plan
+    internals carry no split-phase post/complete halves."""
+    assert len(SEAM_METHODS) == 12
+    assert len(PLAN_METHODS) == 4
 
 
 @pytest.mark.parametrize("cls", [TyphonComms, ProcessComms],
                          ids=lambda c: c.__name__)
 def test_distributed_endpoints_cover_plan_table(cls):
-    """The packed/legacy branch points of the two distributed
-    endpoints must keep identical signatures (PLAN_METHODS) — the
+    """The plan-driven internals of the two distributed endpoints
+    must keep identical signatures (PLAN_METHODS) — the
     backend-equivalence guarantees depend on them staying in step."""
     assert seam_violations(cls, table=PLAN_METHODS) == []
-
-
-def test_live_endpoints_return_their_plan():
-    from repro.parallel import DistributedHydro
-    from repro.problems import load_problem
-
-    setup = load_problem("sod", nx=12, ny=4)
-    for mode, enabled in (("packed", False), ("overlap", True)):
-        driver = DistributedHydro(setup, 2, backend="threads",
-                                  comm_plan=mode)
-        for hydro in driver.hydros:
-            plan = hydro.comms.comm_plan()
-            assert plan is not None
-            assert plan.rank == hydro.comms.rank
-            assert hydro.comms.overlap_enabled() is enabled
 
 
 def test_seam_checker_catches_drift():
@@ -145,3 +114,46 @@ def test_registry_is_complete_and_conforming():
 def test_unknown_backend_rejected():
     with pytest.raises(BookLeafError, match="unknown comm backend"):
         get_backend("mpi")
+
+
+# ----------------------------------------------------------------------
+# dt reduction topology: ⌈log2 P⌉ critical path
+# ----------------------------------------------------------------------
+def _per_rank_comm(nranks, backend, max_steps):
+    from repro.parallel import DistributedHydro
+    from repro.problems import load_problem
+
+    setup = load_problem("noh", nx=16, ny=16)
+    driver = DistributedHydro(setup, nranks, backend=backend)
+    driver.run(max_steps=max_steps)
+    return driver.per_rank_comm()
+
+
+@pytest.mark.parametrize("backend", ["threads", "processes"])
+@pytest.mark.parametrize("nranks", [4, 8])
+def test_dt_reduction_critical_path_is_log2(backend, nranks):
+    if backend == "processes" and nranks == 8:
+        pytest.skip("8-way process fan-out is covered by the threads run")
+    per_rank = _per_rank_comm(nranks, backend, max_steps=10)
+    reductions = per_rank[0]["dt_reductions"]
+    assert reductions > 0
+    expected_depth = math.ceil(math.log2(nranks))
+    hops = [entry["dt_hops"] for entry in per_rank]
+    # Every rank performed the same number of reductions; the critical
+    # path of each is its busiest rank's hop count.
+    assert all(entry["dt_reductions"] == reductions for entry in per_rank)
+    depth = max(hops) / reductions
+    assert depth == expected_depth
+    assert depth < nranks - 1  # strictly better than the flat gather
+    # The tree has exactly P−1 edges, each walked once per reduction
+    # (up-sweep); the down-sweep reuses them, counted on the parent.
+    assert sum(hops) == reductions * (nranks - 1)
+
+
+@pytest.mark.parametrize("backend", ["threads", "processes"])
+def test_dt_tree_counters(backend):
+    """At 4 ranks the root combines ⌈log2 4⌉ = 2 children per
+    reduction, on either distributed backend."""
+    per_rank = _per_rank_comm(4, backend, max_steps=6)
+    assert max(e["dt_hops"] for e in per_rank) \
+        == 2 * per_rank[0]["dt_reductions"]

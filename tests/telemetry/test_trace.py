@@ -78,5 +78,4 @@ def test_multi_rank_trace_has_one_row_per_rank():
     assert thread_names == {"rank 0", "rank 1"}
     comm = [e for e in trace["traceEvents"] if e.get("cat") == "comm"]
     assert comm and {e["name"] for e in comm} >= {
-        "typhon.post_kinematics", "typhon.complete_kinematics",
-        "typhon.reduce_dt"}
+        "typhon.exchange_kinematics", "typhon.reduce_dt"}

@@ -17,16 +17,11 @@ Merge rules (per bench kind, keyed by the rung/case identity):
   and ``t_planned`` ever observed and the *maximum* ``speedup``.
 * ``comm-backend-comparison``: per ``(problem, nx, backend, nranks)``
   keep the minimum ``seconds`` / ``seconds_per_step``.
-* ``commplan-scaling``: per ``(backend, nranks, comm_plan)`` keep the
-  minimum wall/comm seconds and the best efficiency; the comm volume
+* ``commplan-scaling``: per ``(backend, nranks)`` keep the minimum
+  wall/comm seconds and the best efficiency; the comm volume
   (``bytes_per_step``/``messages_per_step``) is deterministic, so the
-  latest document's values are carried verbatim, as are the
-  packed-vs-legacy duel and the mailbox-shrink block.
-* ``comm-overlap-scaling``: same keying and rules as
-  ``commplan-scaling`` with the split comm accounting — the blocking
-  ``comm_seconds`` and the overlapped ``comm_overlap_seconds`` each
-  take their minimum — and the overlap-vs-packed duel block carried
-  from the latest document.
+  latest document's values are carried verbatim, as are its
+  ``cpus_visible`` and the mailbox-shrink block.
 * ``ensemble-batching``: per ``(problem, nx, lanes)`` keep the fastest
   ensemble/serial seconds and the best runs/sec and speedup.
 * ``fleet-scheduler``: per ``(nx, jobs)`` keep the fastest cold/warm
@@ -64,7 +59,6 @@ SUMMARY_SCHEMA_VERSION = 2
 HOTLOOP = "noh-lagstep-hotloop"
 BACKENDS = "comm-backend-comparison"
 SCALING = "commplan-scaling"
-OVERLAP = "comm-overlap-scaling"
 ENSEMBLE = "ensemble-batching"
 FLEET = "fleet-scheduler"
 OBSERVABILITY = "sweep-observability"
@@ -219,17 +213,14 @@ def fold_observability(summary: dict, doc: dict) -> None:
 
 
 def fold_scaling(summary: dict, doc: dict) -> None:
-    """Best-of per (backend, nranks, comm_plan) scaling rung."""
+    """Best-of per (backend, nranks) scaling rung."""
     slots: Dict[tuple, dict] = {
-        (r["backend"], r["nranks"], r.get("comm_plan", "packed")): r
-        for r in summary.get("runs", [])
+        (r["backend"], r["nranks"]): r for r in summary.get("runs", [])
     }
     for case in doc.get("cases", []):
-        key = (case["backend"], case["nranks"],
-               case.get("comm_plan", "packed"))
+        key = (case["backend"], case["nranks"])
         slot = slots.setdefault(key, {
             "backend": case["backend"], "nranks": case["nranks"],
-            "comm_plan": case.get("comm_plan", "packed"),
         })
         _fold_min(slot, case, "wall_seconds")
         _fold_min(slot, case, "comm_seconds")
@@ -241,35 +232,7 @@ def fold_scaling(summary: dict, doc: dict) -> None:
                 slot[det] = case[det]
         _fold_counts(slot, case)
     summary["runs"] = [slots[k] for k in sorted(slots)]
-    for block in ("packed_vs_legacy", "mailbox"):
-        if doc.get(block) is not None:
-            summary[block] = doc[block]
-
-
-def fold_overlap(summary: dict, doc: dict) -> None:
-    """Best-of per (backend, nranks, comm_plan) overlap-scaling rung."""
-    slots: Dict[tuple, dict] = {
-        (r["backend"], r["nranks"], r["comm_plan"]): r
-        for r in summary.get("runs", [])
-    }
-    for case in doc.get("cases", []):
-        key = (case["backend"], case["nranks"], case["comm_plan"])
-        slot = slots.setdefault(key, {
-            "backend": case["backend"], "nranks": case["nranks"],
-            "comm_plan": case["comm_plan"],
-        })
-        _fold_min(slot, case, "wall_seconds")
-        _fold_min(slot, case, "comm_seconds")
-        _fold_min(slot, case, "comm_overlap_seconds")
-        if case.get("efficiency") is not None:
-            _fold_max(slot, case, "efficiency")
-        # comm volume is schedule-driven, not noisy: carry verbatim
-        for det in ("bytes_per_step", "messages_per_step", "steps"):
-            if det in case:
-                slot[det] = case[det]
-        _fold_counts(slot, case)
-    summary["runs"] = [slots[k] for k in sorted(slots)]
-    for block in ("overlap_vs_packed", "mailbox"):
+    for block in ("cpus_visible", "mailbox"):
         if doc.get(block) is not None:
             summary[block] = doc[block]
 
@@ -308,7 +271,6 @@ def merge(documents: List[dict]) -> dict:
                 fold = {HOTLOOP: fold_hotloop,
                         BACKENDS: fold_backends,
                         SCALING: fold_scaling,
-                        OVERLAP: fold_overlap,
                         ENSEMBLE: fold_ensemble,
                         FLEET: fold_fleet,
                         OBSERVABILITY: fold_observability}.get(name)
@@ -320,13 +282,7 @@ def merge(documents: List[dict]) -> dict:
                 elif name == SCALING:
                     fold(target, {
                         "cases": section.get("runs", []),
-                        "packed_vs_legacy": section.get("packed_vs_legacy"),
-                        "mailbox": section.get("mailbox"),
-                    })
-                elif name == OVERLAP:
-                    fold(target, {
-                        "cases": section.get("runs", []),
-                        "overlap_vs_packed": section.get("overlap_vs_packed"),
+                        "cpus_visible": section.get("cpus_visible"),
                         "mailbox": section.get("mailbox"),
                     })
                 elif name == ENSEMBLE:
@@ -355,8 +311,6 @@ def merge(documents: List[dict]) -> dict:
             fold_backends(summary["benches"].setdefault(name, {}), doc)
         elif name == SCALING:
             fold_scaling(summary["benches"].setdefault(name, {}), doc)
-        elif name == OVERLAP:
-            fold_overlap(summary["benches"].setdefault(name, {}), doc)
         elif name == ENSEMBLE:
             fold_ensemble(summary["benches"].setdefault(name, {}), doc)
         elif name == FLEET:
