@@ -9,7 +9,9 @@ The Lagrangian step communicates at exactly three points per timestep
 * the single global reduction in ``getdt``.
 
 :class:`SerialComms` (alias :data:`NullComms`) is the do-nothing
-implementation used by serial runs; the simulated Typhon layer
+implementation used by serial runs (which step on the ensemble kernels
+through :class:`~repro.ensemble.driver.LaneHydro`; its probe and remap
+still see this seam); the simulated Typhon layer
 (:mod:`repro.parallel.typhon`) provides the thread-parallel one and
 :mod:`repro.parallel.backends.processes` the process-parallel one.
 Keeping the seam this small is what makes the kernels identical in

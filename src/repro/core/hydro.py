@@ -11,6 +11,11 @@ optional ALE remap:
 
 Per-kernel timers accumulate across the run so ``timers.breakdown()``
 prints the Table II-style summary at the end.
+
+The loop itself (:class:`StepLoop`: clocks, spans, observers, probe)
+is shared with :class:`repro.ensemble.driver.LaneHydro`, which drives
+every serial run through the batched ensemble kernels; :class:`Hydro`
+now advances the ranks of decomposed runs.
 """
 
 from __future__ import annotations
@@ -29,8 +34,107 @@ from .state import HydroState
 from .timestep import getdt
 
 
-class Hydro:
-    """Time-marches one hydro problem to completion.
+class StepLoop:
+    """The time loop every serial-shaped driver shares.
+
+    Owns the loop clocks (``time``, ``nstep``, ``dt`` and why it was
+    chosen), the instrumentation (``timers``, ``logger``, ``probe``)
+    and the per-step callbacks (``observers``); a subclass supplies
+    ``state``, ``comms`` and :meth:`_advance`, which takes one step and
+    moves the clocks.  :class:`Hydro` advances with the ``core``
+    kernels (one rank of a decomposed run);
+    :class:`~repro.ensemble.driver.LaneHydro` advances a one-lane batch
+    of the ensemble kernels (every serial run).
+    """
+
+    def __init__(self, controls: HydroControls,
+                 timers: Optional[TimerRegistry] = None,
+                 logger: Optional[StepLogger] = None,
+                 probe=None):
+        self.controls = controls.validated()
+        self.timers = timers if timers is not None else TimerRegistry()
+        self.logger = logger if logger is not None else StepLogger(every=0)
+        self.time = controls.time_start
+        self.nstep = 0
+        self.dt = controls.dt_initial
+        self.dt_reason = "initial"
+        self.dt_cell = -1
+        self.probe = probe
+        #: callbacks invoked after every step with (hydro,) — used by
+        #: time-history output and tests
+        self.observers: List[Callable[["StepLoop"], None]] = []
+
+    def _advance(self) -> None:
+        """Take one step: choose dt, advance the state, move the clocks."""
+        raise NotImplementedError
+
+    # ------------------------------------------------------------------
+    def done(self) -> bool:
+        """True once the simulation reached ``time_end``."""
+        eps = 1e-12 * max(1.0, abs(self.controls.time_end))
+        return self.time >= self.controls.time_end - eps
+
+    def step(self) -> float:
+        """Advance one timestep; returns the dt taken."""
+        with self.timers.trace_span(f"step {self.nstep}",
+                                    cat="step") as span:
+            self._advance()
+            self.logger.step(self.nstep, self.time, self.dt,
+                             self.dt_reason, self.dt_cell)
+            for observer in self.observers:
+                observer(self)
+            # Probed after the observers so a fault injected by an
+            # observer is caught on the same step; the probe's own
+            # collectives are safe because every rank samples on the
+            # same cadence.
+            if self.probe is not None:
+                self.probe.on_step(self)
+            if span is not None:
+                span.args.update(n=self.nstep, t=self.time, dt=self.dt,
+                                 dt_reason=self.dt_reason)
+        return self.dt
+
+    def run(self, max_steps: Optional[int] = None) -> int:
+        """March to ``time_end``; returns the number of steps taken."""
+        limit = max_steps if max_steps is not None else self.controls.max_steps
+        start = self.nstep
+        if self.probe is not None:
+            self.probe.begin(self)
+        with self.timers.trace_span("run", cat="run") as span:
+            while not self.done():
+                if self.nstep - start >= limit:
+                    break
+                self.step()
+            if span is not None:
+                span.args.update(steps=self.nstep - start, t_end=self.time)
+        if self.probe is not None:
+            self.probe.finish(self)
+        return self.nstep - start
+
+    # ------------------------------------------------------------------
+    def diagnostics(self) -> dict:
+        """Conservation and extrema summary for logging and tests."""
+        state = self.state
+        momentum = state.momentum()
+        return {
+            "time": self.time,
+            "nstep": self.nstep,
+            "dt": self.dt,
+            "mass": state.total_mass(),
+            "internal_energy": state.internal_energy(),
+            "kinetic_energy": state.kinetic_energy(),
+            "total_energy": state.total_energy(),
+            "momentum_x": float(momentum[0]),
+            "momentum_y": float(momentum[1]),
+            "rho_max": float(state.rho.max()),
+            "rho_min": float(state.rho.min()),
+            "p_max": float(state.p.max()),
+        }
+
+
+class Hydro(StepLoop):
+    """Time-marches one hydro problem (or one rank of a decomposed
+    run) with the ``core`` kernels.
 
     Parameters
     ----------
@@ -70,17 +174,11 @@ class Hydro:
                  plans=None,
                  workspace=None,
                  probe=None):
+        super().__init__(controls, timers=timers, logger=logger,
+                         probe=probe)
         self.state = state
         self.table = table
-        self.controls = controls.validated()
-        self.timers = timers if timers is not None else TimerRegistry()
-        self.logger = logger if logger is not None else StepLogger(every=0)
         self.comms = comms if comms is not None else SerialComms()
-        self.time = controls.time_start
-        self.nstep = 0
-        self.dt = controls.dt_initial
-        self.dt_reason = "initial"
-        self.dt_cell = -1
         self.gamma = table.gamma_like(state.mat)
         if remapper is None and controls.ale_on:
             # Imported here to avoid a core <-> ale import cycle.
@@ -90,28 +188,8 @@ class Hydro:
         self.remapper = remapper
         self.plans = plans
         self.workspace = workspace
-        self.probe = probe
-        #: callbacks invoked after every step with (hydro,) — used by
-        #: time-history output and tests
-        self.observers: List[Callable[["Hydro"], None]] = []
 
-    # ------------------------------------------------------------------
-    def done(self) -> bool:
-        """True once the simulation reached ``time_end``."""
-        eps = 1e-12 * max(1.0, abs(self.controls.time_end))
-        return self.time >= self.controls.time_end - eps
-
-    def step(self) -> float:
-        """Advance one timestep; returns the dt taken."""
-        with self.timers.trace_span(f"step {self.nstep}",
-                                    cat="step") as span:
-            dt = self._step_impl()
-            if span is not None:
-                span.args.update(n=self.nstep, t=self.time, dt=self.dt,
-                                 dt_reason=self.dt_reason)
-        return dt
-
-    def _step_impl(self) -> float:
+    def _advance(self) -> None:
         controls = self.controls
         if self.nstep == 0:
             remaining = controls.time_end - self.time
@@ -150,50 +228,3 @@ class Hydro:
 
         self.time += self.dt
         self.nstep += 1
-        self.logger.step(self.nstep, self.time, self.dt,
-                         self.dt_reason, self.dt_cell)
-        for observer in self.observers:
-            observer(self)
-        # Probed after the observers so a fault injected by an observer
-        # is caught on the same step; the probe's own collectives are
-        # safe because every rank samples on the same cadence.
-        if self.probe is not None:
-            self.probe.on_step(self)
-        return self.dt
-
-    def run(self, max_steps: Optional[int] = None) -> int:
-        """March to ``time_end``; returns the number of steps taken."""
-        limit = max_steps if max_steps is not None else self.controls.max_steps
-        start = self.nstep
-        if self.probe is not None:
-            self.probe.begin(self)
-        with self.timers.trace_span("run", cat="run") as span:
-            while not self.done():
-                if self.nstep - start >= limit:
-                    break
-                self.step()
-            if span is not None:
-                span.args.update(steps=self.nstep - start, t_end=self.time)
-        if self.probe is not None:
-            self.probe.finish(self)
-        return self.nstep - start
-
-    # ------------------------------------------------------------------
-    def diagnostics(self) -> dict:
-        """Conservation and extrema summary for logging and tests."""
-        state = self.state
-        momentum = state.momentum()
-        return {
-            "time": self.time,
-            "nstep": self.nstep,
-            "dt": self.dt,
-            "mass": state.total_mass(),
-            "internal_energy": state.internal_energy(),
-            "kinetic_energy": state.kinetic_energy(),
-            "total_energy": state.total_energy(),
-            "momentum_x": float(momentum[0]),
-            "momentum_y": float(momentum[1]),
-            "rho_max": float(state.rho.max()),
-            "rho_min": float(state.rho.min()),
-            "p_max": float(state.p.max()),
-        }

@@ -11,10 +11,14 @@ hazards).
 
 The correctness contract is strict: lane ``i`` of the ensemble is
 bit-identical — state arrays, step count, dt sequence, diagnostics
-records — to the same problem run through the serial driver.  Kernels
+records — to the same problem run through the ``core`` driver.  Kernels
 stay in the serial association per lane (:mod:`repro.ensemble.kernels`)
 and the loop bookkeeping here stays in Python-float scalar arithmetic
-exactly like ``Hydro``; CI gates this on Noh and Sod.
+exactly like ``Hydro``; the tests gate this for every registered
+problem.
+
+:class:`LaneHydro` is the ``serial`` backend's driver: one run as a
+one-lane batch, behind ``Hydro``'s loop surface.
 
 :func:`run_ensemble` is the embedding surface:
 ``run_ensemble([RunConfig(...), ...]) -> [RunResult, ...]``, one result
@@ -32,6 +36,8 @@ import numpy as np
 from ..api import RunConfig, RunResult
 from ..core.comms import SerialComms
 from ..core.hourglass import GAMMA
+from ..core.hydro import StepLoop
+from ..core.state import HydroState
 from ..perf.plans import MeshPlans
 from ..perf.workspace import Workspace
 from ..problems.base import ProblemSetup
@@ -213,10 +219,6 @@ class EnsembleHydro:
         #: batch row -> original lane index (shrinks with retirement)
         self.order = list(range(n))
         self.final_states = [None] * n
-        #: committed-geometry product cache carried between steps
-        #: (built by the corrector's getgeom; invalidated whenever the
-        #: coordinates or the batch layout change behind its back)
-        self._geom = None
 
     # ------------------------------------------------------------------
     @property
@@ -260,23 +262,19 @@ class EnsembleHydro:
             self.es.compact(keep)
             self.ctx.compact(keep)
             self.eos.compact(keep)
-        self._geom = None               # batch rows moved under the cache
         self.order = [self.order[row] for row in keep_rows]
 
     def _advance_once(self) -> None:
         xp = self.xp
+        es = self.es
         active = self.order
-        # The step's shared caches: velocity products (dt fields + both
-        # viscosity passes + predictor energy all read the committed
-        # u/v) and the committed geometry's products (carried over from
-        # the previous corrector when the coordinates haven't moved).
-        vc = kernels.velocity_edge_cache(
-            xp, self.cell_nodes, self.es.u, self.es.v)
-        geom = self._geom
-        if geom is None:
-            geom = kernels.build_geom(
-                xp, self.cell_nodes, self.es.x, self.es.y,
-                check=False)
+        # The step's shared caches: velocity products ``vc`` (dt fields
+        # + both viscosity passes + predictor energy all read the
+        # committed u/v) and the committed geometry's products
+        # (``es.geom``, carried over from the previous corrector when
+        # the coordinates haven't moved).  Built by their first reader
+        # — getdt here, else the lagstep's getq — and passed on.
+        vc = None
         # "First step" is a per-lane condition: a refilled batch mixes
         # fresh lanes (serial drivers take dt_initial without running
         # getdt at all on step 0) with carried mid-flight lanes.  An
@@ -294,8 +292,13 @@ class EnsembleHydro:
                               "initial", -1))
         else:
             with self.timers.region("getdt"):
+                vc = kernels.velocity_edge_cache(
+                    xp, self.cell_nodes, es.u, es.v)
+                if es.geom is None:
+                    es.geom = kernels.build_geom(
+                        xp, self.cell_nodes, es.x, es.y, check=False)
                 cands = getdt_batch(
-                    xp, self.es, geom, vc,
+                    xp, es, es.geom, vc,
                     [self.controls_list[lane] for lane in active],
                     [self.dts[lane] for lane in active],
                     [self.times[lane] for lane in active],
@@ -310,11 +313,17 @@ class EnsembleHydro:
             (self.dts[lane], self.dt_reasons[lane],
              self.dt_cells[lane]) = cands[row]
 
+        if es.bc.driver is not None:
+            # A driven boundary (one lane, one clock — EnsembleState
+            # refuses more): prescribe the end-of-step velocity, as the
+            # serial driver does before its lagstep.
+            lane = active[0]
+            es.bc.advance(self.times[lane] + self.dts[lane])
+
         dt_col = xp.asarray([[c[0]] for c in cands])
-        self._geom = lagstep_batch(self.es, self.ctx, dt_col,
-                                   self.timers,
-                                   time=self.times[active[0]],
-                                   vc=vc, geom=geom)
+        with self.timers.trace_span("lagstep", cat="phase"):
+            lagstep_batch(es, self.ctx, dt_col, self.timers,
+                          time=self.times[active[0]], vc=vc)
 
         # ALE remap, per lane on its row view — the remapper is serial
         # code (it rebinds state arrays), so each due lane round-trips
@@ -331,7 +340,6 @@ class EnsembleHydro:
                 remapper.apply(lane_state, self.dts[lane], self.timers,
                                comms=self.comms)
                 self.es.absorb_lane(row, lane_state)
-                self._geom = None       # remap moved the coordinates
 
         for row, lane in enumerate(active):
             self.times[lane] += self.dts[lane]
@@ -394,6 +402,85 @@ class EnsembleHydro:
                 break
             self._advance_once()
         return self
+
+
+# ----------------------------------------------------------------------
+# one serial run as a one-lane batch
+# ----------------------------------------------------------------------
+class LaneHydro(StepLoop):
+    """One serial run on the batched kernels: a ``Hydro``-shaped driver
+    whose step is a one-lane :class:`EnsembleHydro` pass.
+
+    The ``serial`` backend's driver.  It keeps everything the run loop
+    and its embedders read from a serial ``Hydro`` — the clocks, the
+    timers/logger/probe/observers of :class:`StepLoop`, ``state``,
+    ``comms``, ``remapper`` — so observers, the probe, the step series
+    and fleet checkpoint/restore see no difference; only the kernels
+    underneath are the ensemble ones.
+
+    The batch (and its :class:`~repro.perf.plans.MeshPlans`) is built
+    when the first step is taken, so a zero-step run costs no plan
+    compile, and anything overlaid before then (a checkpoint restore)
+    is what the batch adopts.  The batch adopts the setup state's
+    arrays without copying (a one-lane :class:`EnsembleState` holds
+    ``(1, …)`` views), so ``state`` is the setup state advanced in
+    place, exactly as a ``Hydro`` consumes its state.  Once the batch
+    exists it owns the clocks; the attributes here mirror them after
+    each step.
+
+    ``artifacts`` is an optional :class:`repro.fleet.artifacts.
+    ArtifactCache` that supplies the MeshPlans of an already-seen mesh.
+    """
+
+    def __init__(self, setup: ProblemSetup,
+                 timers: Optional[TimerRegistry] = None,
+                 logger=None, probe=None, artifacts=None):
+        super().__init__(setup.controls, timers=timers, logger=logger,
+                         probe=probe)
+        self.setup = setup
+        self.table = setup.table
+        self.comms = SerialComms()
+        self.artifacts = artifacts
+        # Built from the pristine state now, as Hydro does: the remap's
+        # Eulerian target is the initial mesh even after a restore.
+        self.remapper = None
+        if self.controls.ale_on:
+            # Imported here to avoid an ensemble <-> ale cycle.
+            from ..ale.driver import AleStep
+
+            self.remapper = AleStep.from_controls(
+                setup.state, self.controls, setup.table)
+        self._batch: Optional[EnsembleHydro] = None
+
+    @property
+    def state(self) -> HydroState:
+        """The run's current state (row views of the batch once built)."""
+        if self._batch is None:
+            return self.setup.state
+        return self._batch.es.lane_state(0)
+
+    def _build_batch(self) -> EnsembleHydro:
+        plans = None
+        if self.artifacts is not None:
+            plans = self.artifacts.mesh_plans(self.setup.state.mesh)
+        return EnsembleHydro(
+            [self.setup], timers=self.timers, plans=plans,
+            resume=[{"time": self.time, "nstep": self.nstep,
+                     "dt": self.dt, "dt_reason": self.dt_reason,
+                     "dt_cell": self.dt_cell,
+                     "remapper": self.remapper}],
+        )
+
+    def _advance(self) -> None:
+        batch = self._batch
+        if batch is None:
+            batch = self._batch = self._build_batch()
+        batch._advance_once()
+        self.time = batch.times[0]
+        self.nstep = batch.nsteps[0]
+        self.dt = batch.dts[0]
+        self.dt_reason = batch.dt_reasons[0]
+        self.dt_cell = batch.dt_cells[0]
 
 
 # ----------------------------------------------------------------------

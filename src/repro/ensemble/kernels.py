@@ -319,6 +319,7 @@ class StepCache:
         if self.psi is None:
             self.psi = christiansen_limiter(
                 xp, u, v, self.dux, self.duy, self.dumag_sq, lim)
+            self.dumag_sq = None        # ψ was its last reader
         return self.psi
 
     def inv_jump(self, xp):
@@ -529,57 +530,57 @@ def pressure_forces(xp, geom, p):
     return p[:, :, None] * geom.dvdx, p[:, :, None] * geom.dvdy
 
 
-def _quad_partials(ax, ay, bx, by, cx_, cy_, dx, dy):
-    """Shoelace partials of quad (A,B,C,D) w.r.t. each vertex."""
-    return (
-        (0.5 * (by - dy), 0.5 * (dx - bx)),
-        (0.5 * (cy_ - ay), 0.5 * (ax - cx_)),
-        (0.5 * (dy - by), 0.5 * (bx - dx)),
-        (0.5 * (ay - cy_), 0.5 * (cx_ - ax)),
-    )
+def _set_band(flat, k, values):
+    """Store ``values[..., i]`` at entry ``(i, (i + k) % 4)`` of the
+    flattened (…, 16) 4×4 tables: four strided column copies, not a
+    fancy-index scatter (the stored values are the same)."""
+    for i in range(4):
+        flat[:, :, 4 * i + (i + k) % 4] = values[:, :, i]
 
 
-def subzone_volume_gradients(xp, geom):
-    """``dV_subzone_i/dx_j`` for all corner pairs: (N, ncell, 4, 4)."""
-    cx, cy = geom.cx, geom.cy
-    n, ncell = cx.shape[0], cx.shape[1]
-    gx = xp.broadcast_to(geom.gx[:, :, None], cx.shape)
-    gy = xp.broadcast_to(geom.gy[:, :, None], cy.shape)
-    ax, ay = cx, cy
-    bx, by = geom.mx, geom.my
-    dx, dy = edge_prev(geom.mx), edge_prev(geom.my)
-    (gAx, gAy), (gBx, gBy), (gCx, gCy), (gDx, gDy) = _quad_partials(
-        ax, ay, bx, by, gx, gy, dx, dy
-    )
-    gradx = xp.zeros((n, ncell, 4, 4))
-    grady = xp.zeros((n, ncell, 4, 4))
-    idx = xp.arange(4)
-    nxt = (idx + 1) % 4
-    prv = (idx - 1) % 4
+def _subzone_gradient(xp, a, b, g, along_y):
+    """One axis of ``dV_subzone_i/dx_j`` for all corner pairs:
+    (N, ncell, 4, 4).
+
+    ``a``/``b``/``g`` are the *other* axis' coordinates of each subzone
+    quad's corner, next edge midpoint and centroid (the fourth vertex
+    is the previous edge midpoint); the shoelace partials w.r.t. y are
+    the x-partials' expressions in rotated order.  Built one axis at a
+    time so only one (N, ncell, 4, 4) table and four partials are live
+    at once.
+    """
+    d = edge_prev(b)
+    pa, pb, pc, pd = (0.5 * (b - d), 0.5 * (g - a),
+                      0.5 * (d - b), 0.5 * (a - g))
+    del d
+    if along_y:
+        pa, pb, pc, pd = pc, pd, pa, pb
+    n, ncell = a.shape[0], a.shape[1]
+    grad = xp.empty((n, ncell, 4, 4))
+    flat = grad.reshape(n, ncell, 16)
     # j == i: A fully + half of both midpoints + quarter of centroid.
-    gradx[:, :, idx, idx] = gAx + 0.5 * (gBx + gDx) + 0.25 * gCx
-    grady[:, :, idx, idx] = gAy + 0.5 * (gBy + gDy) + 0.25 * gCy
+    _set_band(flat, 0, pa + 0.5 * (pb + pd) + 0.25 * pc)
     # j == i+1: half of M_i + quarter of centroid.
-    gradx[:, :, idx, nxt] = 0.5 * gBx + 0.25 * gCx
-    grady[:, :, idx, nxt] = 0.5 * gBy + 0.25 * gCy
+    _set_band(flat, 1, 0.5 * pb + 0.25 * pc)
     # j == i-1: half of M_{i-1} + quarter of centroid.
-    gradx[:, :, idx, prv] = 0.5 * gDx + 0.25 * gCx
-    grady[:, :, idx, prv] = 0.5 * gDy + 0.25 * gCy
+    _set_band(flat, 3, 0.5 * pd + 0.25 * pc)
     # j == i+2: quarter of centroid only.
-    opp = (idx + 2) % 4
-    gradx[:, :, idx, opp] = 0.25 * gCx
-    grady[:, :, idx, opp] = 0.25 * gCy
-    return gradx, grady
+    _set_band(flat, 2, 0.25 * pc)
+    return grad
 
 
 def subzonal_pressure_forces(xp, geom, corner_mass, corner_volume,
                              rho, cs2, kappa):
     """Corner forces (N, ncell, 4) from sub-zonal pressure deviations."""
-    rho_z = corner_mass / xp.maximum(corner_volume, 1e-300)
-    dp = kappa * cs2[:, :, None] * (rho_z - rho[:, :, None])
-    gradx, grady = subzone_volume_gradients(xp, geom)
-    fx = xp.einsum("nci,ncij->ncj", dp, gradx)
-    fy = xp.einsum("nci,ncij->ncj", dp, grady)
+    dp = corner_mass / xp.maximum(corner_volume, 1e-300)    # rho_z
+    dp -= rho[:, :, None]
+    xp.multiply(kappa * cs2[:, :, None], dp, out=dp)
+    gx = xp.broadcast_to(geom.gx[:, :, None], geom.cx.shape)
+    gy = xp.broadcast_to(geom.gy[:, :, None], geom.cy.shape)
+    fx = xp.einsum("nci,ncij->ncj", dp, _subzone_gradient(
+        xp, geom.cy, geom.my, gy, along_y=False))
+    fy = xp.einsum("nci,ncij->ncj", dp, _subzone_gradient(
+        xp, geom.cx, geom.mx, gx, along_y=True))
     return fx, fy
 
 
@@ -603,11 +604,18 @@ def hourglass_filter_forces(xp, cu, cv, rho, cs2, volume, kappa,
 def getforce(xp, geom, vc, p, rho, cs2, fqx, fqy,
              corner_mass, corner_volume, volume,
              subzonal_kappa, filter_kappa, gamma_vec):
-    """Assemble all corner forces (mirrors ``core.force.getforce``)."""
+    """Assemble all corner forces (mirrors ``core.force.getforce``).
+
+    The viscous forces ``fqx``/``fqy`` (when given) are consumed: the
+    sum accumulates into their buffers, which is bitwise the serial
+    ``p·∇V + fq`` (IEEE addition commutes) and keeps one corner pair
+    fewer live through the subzonal pass.
+    """
     fx, fy = pressure_forces(xp, geom, p)
     if fqx is not None:
-        fx += fqx
-        fy += fqy
+        fqx += fx
+        fqy += fy
+        fx, fy = fqx, fqy
     if subzonal_kappa > 0.0:
         sx, sy = subzonal_pressure_forces(
             xp, geom, corner_mass, corner_volume, rho, cs2,

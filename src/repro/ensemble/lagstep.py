@@ -1,13 +1,15 @@
 """The batched Lagrangian step — predictor/corrector over all lanes.
 
-A line-for-line mirror of the plain (workspace-free) path of
-:func:`repro.core.lagstep.lagstep`, with every kernel call batched and
-per-lane dt entering as an ``(N, 1)`` column broadcast.  The serial
-reference the bit-identity gate compares against is exactly that plain
-path (the serial backend builds its ``Hydro`` without plans or
-workspace), so each expression here must keep the serial association
-within a lane — see the module docstring of
-:mod:`repro.ensemble.kernels`.
+This is the step every serial run takes (the ``serial`` backend drives
+a one-lane batch, :class:`~repro.ensemble.driver.LaneHydro`) and every
+ensemble lane shares: each kernel call is batched and per-lane dt
+enters as an ``(N, 1)`` column broadcast.  Within a lane every
+expression keeps the association of the plain (workspace-free) path of
+:func:`repro.core.lagstep.lagstep`, which decomposed ranks still run —
+see the module docstring of :mod:`repro.ensemble.kernels` — so a serial
+run, an ensemble lane and the ``core`` loop of
+:meth:`~repro.problems.base.ProblemSetup.make_hydro` agree bit for bit
+(``tests/ensemble/test_kernel_layers.py``).
 
 Two shared caches thread through the step (both hold values the serial
 kernels would recompute identically, so they cannot perturb a bit):
@@ -15,14 +17,17 @@ kernels would recompute identically, so they cannot perturb a bit):
 * ``vc`` — the velocity-edge cache.  Both viscosity passes, the
   predictor energy update and the caller's dt evaluation all read the
   committed ``u``/``v``, which only advance at step end.
-* ``geom`` — the committed geometry's product cache, built by the
+* ``es.geom`` — the committed geometry's product cache, built by the
   *previous* step's corrector ``getgeom`` (coordinates haven't moved
-  since) and handed in by the driver; the updated cache for this
-  step's committed coordinates is returned for the same reuse.
+  since).  The step takes it over from the state and drops each
+  geometry cache after its last reader — the start-of-step one after
+  the predictor ``getforce``, the half-step one after the corrector
+  ``getforce`` — so at most one lives at a time; the cache of the new
+  coordinates goes back to ``es.geom`` for the next step.
 
 Timer regions carry the serial names (``getq``/``getforce``/…) so a
-per-lane :class:`RunResult` report has the familiar Table II rows; each
-region now times all N lanes at once, which is the point.
+run report has the familiar Table II rows; each region times all N
+lanes at once, which is the point.
 
 This module is array-module generic like the kernels: no numpy import,
 everything arrives through ``xp`` and the :class:`EnsembleContext`.
@@ -100,16 +105,15 @@ def _viscosity(ctx, geom, vc, u, v, rho, cs2, p, volume):
     return fqx, fqy, q_cell, p
 
 
-def lagstep_batch(es, ctx, dt_col, timers, time=None, vc=None,
-                  geom=None):
+def lagstep_batch(es, ctx, dt_col, timers, time=None, vc=None):
     """Advance every lane of ``es`` in place by its own dt.
 
     ``dt_col`` is the (N, 1) per-lane timestep column; ``time`` (used
     only in tangle-error reporting) is a representative lane time.
-    ``vc``/``geom`` are the step's velocity cache and the committed
-    geometry's product cache (recomputed here when the driver has
-    none).  Returns the product cache of the *newly* committed
-    geometry for the next step.
+    ``vc`` is the step's velocity cache; it and the committed
+    geometry's product cache (``es.geom``) are recomputed here when
+    absent.  Leaves the product cache of the *newly* committed
+    geometry in ``es.geom`` for the next step.
     """
     xp = ctx.xp
     cell_nodes = ctx.cell_nodes
@@ -123,13 +127,14 @@ def lagstep_batch(es, ctx, dt_col, timers, time=None, vc=None,
     with timers.region("exchange"):
         pass                            # serial lanes: nothing to halo
 
-    if vc is None:
-        vc = kernels.velocity_edge_cache(xp, cell_nodes, es.u, es.v)
-    if geom is None:
-        geom = kernels.build_geom(xp, cell_nodes, es.x, es.y,
-                                  time=time, check=False)
-
+    # Take the committed geometry over, so its last reader frees it.
+    geom, es.geom = es.geom, None
     with timers.region("getq"):
+        if vc is None:
+            vc = kernels.velocity_edge_cache(xp, cell_nodes, es.u, es.v)
+        if geom is None:
+            geom = kernels.build_geom(xp, cell_nodes, es.x, es.y,
+                                      time=time, check=False)
         fqx, fqy, q_cell, p_eff = _viscosity(
             ctx, geom, vc, es.u, es.v, es.rho, es.cs2, es.p, es.volume,
         )
@@ -140,6 +145,7 @@ def lagstep_batch(es, ctx, dt_col, timers, time=None, vc=None,
             es.corner_mass, es.corner_volume, es.volume,
             ctx.subzonal_kappa, ctx.filter_kappa, ctx.gamma_vec,
         )
+    del geom                            # last reader of the start geometry
 
     with timers.region("getgeom"):
         x_h = es.x + half_col * es.u
@@ -179,6 +185,7 @@ def lagstep_batch(es, ctx, dt_col, timers, time=None, vc=None,
             es.corner_mass, geom_h.cvol, geom_h.volume,
             ctx.subzonal_kappa, ctx.filter_kappa, ctx.gamma_vec,
         )
+    del geom_h                          # last reader of the half step
 
     with timers.region("getacc"):
         node_fx = ctx.scatter(fx, out=ws.array("ens.nodefx", (n, nnode)))
@@ -195,6 +202,7 @@ def lagstep_batch(es, ctx, dt_col, timers, time=None, vc=None,
                                       time=time)
         es.volume[...] = geom_new.volume
         es.corner_volume[...] = geom_new.cvol
+        geom_new.cvol = None            # next step reads es.corner_volume
 
     with timers.region("getrho"):
         es.rho[...] = kernels.getrho(xp, es.cell_mass, es.volume,
@@ -210,4 +218,4 @@ def lagstep_batch(es, ctx, dt_col, timers, time=None, vc=None,
 
     es.u[...] = u_new
     es.v[...] = v_new
-    return geom_new
+    es.geom = geom_new

@@ -12,6 +12,13 @@ whose fields are row views into the batch arrays, so per-lane
 machinery — the ALE remapper, the diagnostics probe, the final-state
 extraction — runs unchanged on one lane without copying.
 
+A one-lane batch (every serial run) adopts its state's arrays as
+``arr[None]`` views instead of copying them: the batch advances the
+lane's own :class:`HydroState` in place, as the serial driver always
+did, and costs no second copy of the fields.  It may also carry a
+time-driven boundary (``bc.driver``): one lane has one clock, so the
+shared prescribed-velocity arrays are that clock's.
+
 Ragged retirement is by *compaction*: :meth:`compact` drops finished
 rows with a fancy-index copy (``arr[keep]``), which preserves every
 surviving lane's bits exactly.  Masking finished lanes in place (e.g.
@@ -41,7 +48,7 @@ class EnsembleState:
         if not states:
             raise BookLeafError("an ensemble needs at least one lane")
         first = states[0]
-        if first.bc.driver is not None:
+        if first.bc.driver is not None and len(states) > 1:
             raise BookLeafError(
                 "time-driven boundary conditions (bc.driver) cannot be "
                 "batched — lanes advance at different times, so the "
@@ -71,9 +78,20 @@ class EnsembleState:
         self.bc = first.bc
         self.mat = first.mat.copy()
         for name in NODE_FIELDS + CELL_FIELDS + CORNER_FIELDS:
-            setattr(self, name,
-                    np.stack([getattr(st, name) for st in states]))
+            if len(states) == 1:
+                # Adopt, don't copy: a (1, …) view of the lane's array.
+                # Contiguity is kept so reductions stay in serial order.
+                setattr(self, name,
+                        np.ascontiguousarray(getattr(first, name))[None])
+            else:
+                setattr(self, name,
+                        np.stack([getattr(st, name) for st in states]))
         self._node_mass: Optional[np.ndarray] = None
+        #: product cache (:class:`~repro.ensemble.kernels.Geom`) of the
+        #: current coordinates: built by the corrector's getgeom, read
+        #: by the next step's getdt and predictor; dropped whenever the
+        #: coordinates or the row layout change behind its back
+        self.geom = None
 
     # ------------------------------------------------------------------
     @property
@@ -117,6 +135,7 @@ class EnsembleState:
             # the row view, a commit when the remapper rebound it.
             getattr(self, name)[i] = getattr(st, name)
         self.invalidate_node_mass()
+        self.geom = None
 
     def extract_lane(self, i: int) -> HydroState:
         """A standalone copy of lane i (the final per-lane result)."""
@@ -132,3 +151,4 @@ class EnsembleState:
             setattr(self, name, getattr(self, name)[keep])
         if self._node_mass is not None:
             self._node_mass = self._node_mass[keep]
+        self.geom = None

@@ -16,11 +16,10 @@ plans are index tables), and reuse is *exact*: the returned objects are
 the very ones a fresh compile would produce, so bit-identity is
 untouched.
 
-Scope note: the serial ``api.run`` path deliberately takes **no**
-MeshPlans from here — the plan-based scatter matches ``np.bincount``
-only to round-off, and the serial driver's contract is bitwise equality
-with the historic loop.  Only the ensemble path (which always runs on
-MeshPlans) reuses them.
+Both consumers of MeshPlans reuse them from here: batched ensemble
+passes and serial runs (one-lane batches of the same kernels).  The
+ensemble scatter is bitwise the ``np.bincount`` sum, so reuse never
+changes a result.
 """
 
 from __future__ import annotations
@@ -81,8 +80,9 @@ class ArtifactCache:
         return plans
 
     def mesh_plans(self, mesh):
-        """Ensemble-path :class:`~repro.perf.plans.MeshPlans` for this
-        topology (gather/scatter index tables)."""
+        """:class:`~repro.perf.plans.MeshPlans` for this topology
+        (gather/scatter index tables) for ensemble batches and serial
+        runs."""
         from ..perf.plans import MeshPlans
 
         key = mesh_fingerprint(mesh)

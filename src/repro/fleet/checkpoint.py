@@ -1,5 +1,8 @@
 """Checkpoint/restart: periodic HydroState snapshots for resumable jobs.
 
+This is the repo's one checkpoint format: fleet jobs, the examples and
+post-mortem dumps of failed runs all write it.
+
 A fleet job that dies mid-run (preempted worker, SIGKILL, machine
 loss) resumes from its last checkpoint instead of restarting.  The
 checkpoint is one atomically-written ``.npz`` holding
@@ -42,7 +45,9 @@ CHECKPOINT_SCHEMA_VERSION = 1
 
 
 def save_checkpoint(path: str, hydro, key: str = "") -> None:
-    """Atomically write one checkpoint of a live serial ``Hydro``."""
+    """Atomically write one checkpoint of a live serial driver (any
+    ``Hydro``-shaped object: a ``serial``-backend lane or a ``core``
+    :class:`~repro.core.hydro.Hydro`)."""
     probe_doc = None
     if hydro.probe is not None:
         p = hydro.probe
@@ -78,10 +83,20 @@ def save_checkpoint(path: str, hydro, key: str = "") -> None:
 
 
 def load_checkpoint(path: str):
-    """Read a checkpoint back as ``(meta, arrays)``."""
-    with np.load(path) as data:
-        arrays = {name: data[name] for name in data.files}
-    meta = json.loads(bytes(arrays.pop("__meta__")).decode("utf-8"))
+    """Read a checkpoint back as ``(meta, arrays)``; an unreadable file
+    or one of another layout version raises :class:`FleetError`."""
+    try:
+        with np.load(path) as data:
+            arrays = {name: data[name] for name in data.files}
+        meta = json.loads(bytes(arrays.pop("__meta__")).decode("utf-8"))
+    except (OSError, ValueError, KeyError) as exc:
+        raise FleetError(f"cannot read checkpoint {path}: {exc}") from exc
+    version = meta.get("schema_version")
+    if version != CHECKPOINT_SCHEMA_VERSION:
+        raise FleetError(
+            f"checkpoint {path} has format version {version}; this "
+            f"build reads version {CHECKPOINT_SCHEMA_VERSION}"
+        )
     return meta, arrays
 
 
@@ -123,7 +138,7 @@ def restore_into(driver, path: str, key: str = "",
     cadence-due sample the crash cut off between checkpoint and probe
     is regenerated from the restored state (bitwise identical — the
     sample is a pure function of state + baseline).  Returns the
-    *remaining* step budget (``Hydro.run`` counts steps from its call),
+    *remaining* step budget (the step loop counts steps from its call),
     or None to leave ``max_steps`` untouched.
     """
     meta, arrays = load_checkpoint(path)
@@ -138,6 +153,15 @@ def restore_into(driver, path: str, key: str = "",
             "(serial backend); decomposed jobs restart instead"
         )
     hydro = driver.hydros[0]
+    for name, live in state_arrays(hydro.state).items():
+        stored = arrays.get(name)
+        if stored is None or stored.shape != live.shape:
+            raise FleetError(
+                f"checkpoint {path} does not match this job's mesh: "
+                f"field {name!r} is "
+                f"{'missing' if stored is None else stored.shape}, "
+                f"expected {live.shape}"
+            )
     overlay_state(hydro.state, arrays)
     hydro.nstep = int(meta["nstep"])
     hydro.time = float(meta["time"])

@@ -36,13 +36,13 @@ class BoundaryConditions:
     ``driver`` optionally makes the prescribed values *time-dependent*:
     any object with ``velocities(t) -> (ux, uy)`` (full per-node
     arrays) and ``subset(nodes) -> driver`` (restriction for domain
-    decomposition).  The :class:`~repro.core.hydro.Hydro` step loop
-    calls :meth:`advance` with the end-of-step time before each
+    decomposition).  The step loops (``core`` and one-lane ensemble)
+    call :meth:`advance` with the end-of-step time before each
     Lagrangian step, so driven nodes land exactly on the prescribed
     velocity at every time level (the Kidder shell compression drives
-    its boundary arcs this way).  Time-driven conditions cannot be
-    batched — lanes advance at different times — so the ensemble layer
-    rejects them.
+    its boundary arcs this way).  Time-driven conditions batch only
+    at N=1 — lanes advance at different times — so the ensemble layer
+    rejects them in a batch of two or more lanes.
     """
 
     flags: np.ndarray
@@ -53,11 +53,14 @@ class BoundaryConditions:
     def __post_init__(self):
         self.flags = np.asarray(self.flags, dtype=np.int8)
         n = self.flags.size
+        # Given prescribed values are the driver's current ones (a copy
+        # or a restriction mid-run); only fresh conditions start at t=0.
+        fresh = self.ux is None or self.uy is None
         if self.ux is None:
             self.ux = np.zeros(n)
         if self.uy is None:
             self.uy = np.zeros(n)
-        if self.driver is not None:
+        if self.driver is not None and fresh:
             self.advance(0.0)
 
     def advance(self, t: float) -> None:

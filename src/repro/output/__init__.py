@@ -1,4 +1,7 @@
-"""Output facilities: legacy VTK dumps, time-history CSV, ASCII plots."""
+"""Output facilities: legacy VTK dumps, time-history CSV, ASCII plots.
+
+Checkpoints live in :mod:`repro.fleet.checkpoint` (the one checkpoint
+format, which restores dt and probe state for bitwise resumes)."""
 
 from .ascii_plot import ascii_plot
 from .profiles import (
@@ -7,7 +10,6 @@ from .profiles import (
     linear_profile,
     radial_profile,
 )
-from .restart import checkpoint, read_restart, resume, write_restart
 from .timehist import TimeHistory
 from .vtk import write_vtk
 
@@ -15,10 +17,6 @@ __all__ = [
     "write_vtk",
     "TimeHistory",
     "ascii_plot",
-    "checkpoint",
-    "resume",
-    "read_restart",
-    "write_restart",
     "Profile",
     "linear_profile",
     "radial_profile",

@@ -1,18 +1,21 @@
-"""The ``serial`` backend: one rank, no decomposition, ``NullComms``.
+"""The ``serial`` backend: one rank, no decomposition, no comms.
 
 Exists so the :mod:`repro.api` façade drives serial, thread-parallel
 and process-parallel runs through one code path: a serial run is a
-"decomposed" run with one rank whose communication endpoint is the
-do-nothing :class:`~repro.core.comms.NullComms`.  No partitioning, no
-halos, no barriers — the hydro loop is byte-for-byte the serial one.
+"decomposed" run with one rank.  No partitioning, no halos, no
+barriers — and no ``core.Hydro``: the rank is a one-lane batch of the
+ensemble kernels (:class:`~repro.ensemble.driver.LaneHydro`), which is
+bit-identical to the ``core`` loop and several times cheaper per step.
+``driver.hydros[0]`` is that lane, with the ``Hydro`` attributes
+(clocks, ``state``, ``probe``, ``observers``, ``timers``) embedders
+and fleet checkpoint/restore read.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from ...core.comms import NullComms
-from ...core.hydro import Hydro
+from ...ensemble.driver import LaneHydro
 from ...utils.errors import BookLeafError
 from ...utils.timers import TimerRegistry
 from ..interface import BackendRun
@@ -43,10 +46,9 @@ class SerialBackend:
             from ...utils.log import StepLogger
 
             logger = StepLogger(every=driver.log_every)
-        driver.hydros.append(Hydro(
-            setup.state, setup.table, setup.controls,
-            timers=timers, logger=logger, comms=NullComms(),
-            probe=driver.build_probe(0),
+        driver.hydros.append(LaneHydro(
+            setup, timers=timers, logger=logger,
+            probe=driver.build_probe(0), artifacts=driver.artifacts,
         ))
 
     def execute(self, driver, max_steps: Optional[int] = None) -> BackendRun:

@@ -145,30 +145,14 @@ class MeshPlans:
         self.ncell = int(mesh.ncell)
         self.nnode = int(mesh.nnode)
         flat = np.ascontiguousarray(mesh.cell_nodes.reshape(-1))
-        #: stable sort of the 4·ncell (cell, corner) slots by node — the
-        #: per-node segment order equals bincount's traversal order
-        self.scatter_perm = np.argsort(flat, kind="stable")
-        offsets = mesh.node_cell_offsets
-        degrees = np.diff(offsets)
+        degrees = np.diff(mesh.node_cell_offsets)
         #: the mesh's largest node valence (cells sharing one node)
         self.max_valence = int(degrees.max(initial=0))
         self._pad_ok = 0 < self.max_valence <= MAX_PAD_VALENCE
-        if self._pad_ok:
-            k = np.arange(self.max_valence)
-            valid = k[None, :] < degrees[:, None]            # (nnode, K)
-            src = offsets[:-1, None] + k[None, :]
-            slots = self.scatter_perm[np.where(valid, src, 0)]
-            #: flat (cell, corner) slot per (node, incidence) pad entry
-            self.pad_idx = np.ascontiguousarray(
-                np.where(valid, slots, 0), dtype=np.intp)
-            #: 1.0 on real incidences, 0.0 on padding
-            self.pad_w = np.ascontiguousarray(valid, dtype=np.float64)
-            #: buffer shape a caller should pass as ``work=``
-            self.scatter_work_shape = (self.nnode, self.max_valence)
-        else:
-            self.pad_idx = None
-            self.pad_w = None
-            self.scatter_work_shape = (0,)
+        #: buffer shape a caller should pass as ``work=``
+        self.scatter_work_shape = ((self.nnode, self.max_valence)
+                                   if self._pad_ok else (0,))
+        self._pad = None
         #: (ny, nx) when the mesh is a canonical structured grid
         self.grid_shape = self._detect_grid(flat)
         # Contiguous intp copies: ``np.take`` silently copies any other
@@ -178,6 +162,43 @@ class MeshPlans:
             np.ascontiguousarray(a, dtype=np.intp) if a.dtype != np.bool_
             else np.ascontiguousarray(a)
             for a in limiter_indices(mesh))
+
+    @property
+    def pad_idx(self) -> Optional[np.ndarray]:
+        """(nnode, max_valence) flat (cell, corner) slot per pad entry,
+        or None past :data:`MAX_PAD_VALENCE`.  Built on first use: the
+        ensemble kernels scatter on the grid path or by ``bincount``
+        and never read it."""
+        return self._padded()[0]
+
+    @property
+    def pad_w(self) -> Optional[np.ndarray]:
+        """1.0 on real incidences, 0.0 on padding (same shape)."""
+        return self._padded()[1]
+
+    def _padded(self):
+        if self._pad is None:
+            if not self._pad_ok:
+                self._pad = (None, None)
+            else:
+                mesh = self.mesh
+                flat = np.ascontiguousarray(mesh.cell_nodes.reshape(-1))
+                # stable sort of the 4·ncell (cell, corner) slots by
+                # node — the per-node segment order equals bincount's
+                # traversal order
+                perm = np.argsort(flat, kind="stable")
+                offsets = mesh.node_cell_offsets
+                degrees = np.diff(offsets)
+                k = np.arange(self.max_valence)
+                valid = k[None, :] < degrees[:, None]        # (nnode, K)
+                src = offsets[:-1, None] + k[None, :]
+                slots = perm[np.where(valid, src, 0)]
+                self._pad = (
+                    np.ascontiguousarray(np.where(valid, slots, 0),
+                                         dtype=np.intp),
+                    np.ascontiguousarray(valid, dtype=np.float64),
+                )
+        return self._pad
 
     def _detect_grid(self, flat_cell_nodes: np.ndarray):
         """Recognise the canonical rectilinear numbering, if present.

@@ -2,11 +2,14 @@
 
 ``run_ensemble([c0, ..., cN])`` must produce, for each lane, byte-for-
 byte the state arrays, step count, final time and diagnostics scalars
-of ``run(ci)`` through the serial backend.  Not approximately equal —
-``tobytes()`` equal: the batched kernels keep the serial operation
-association per lane (see :mod:`repro.ensemble.kernels`), so any
-drift, however small, means an expression changed shape and the
-contract is broken.
+of the ``core`` loop (``setup.make_hydro().run()``) on the same config.
+Since the ``serial`` backend itself steps a one-lane batch, comparing
+against ``run(ci)`` would test the ensemble path against itself; the
+``core`` loop is the independent reference (the one decomposed ranks
+run).  Not approximately equal — ``tobytes()`` equal: the batched
+kernels keep the serial operation association per lane (see
+:mod:`repro.ensemble.kernels`), so any drift, however small, means an
+expression changed shape and the contract is broken.
 
 The default parametrisation caps steps so tier-1 stays fast; the CI
 bit-identity gate job sets ``BOOKLEAF_BITID_FULL=1`` to run Noh and
@@ -18,8 +21,9 @@ import os
 import numpy as np
 import pytest
 
-from repro.api import RunConfig, run, run_ensemble
+from repro.api import RunConfig, run_ensemble
 from repro.ensemble import kernels
+from repro.metrics import DiagnosticsProbe
 
 FIELDS = ("x", "y", "u", "v", "rho", "e", "p", "q", "cs2",
           "volume", "corner_volume", "cell_mass")
@@ -29,6 +33,33 @@ FULL = os.environ.get("BOOKLEAF_BITID_FULL") == "1"
 #: capped step counts for the tier-1 parametrisation (full runs gate
 #: in CI where the job budget allows the ~600-step Noh)
 CAP = {"noh": 60, "sod": 80}
+
+
+class CoreRun:
+    """The ``core`` loop's outcome on one config, shaped like the parts
+    of a :class:`~repro.api.RunResult` the assertions read."""
+
+    def __init__(self, config, override=None, metrics_every=0):
+        setup = config.build_setup()
+        if override:
+            setup.controls = setup.controls.with_(**override).validated()
+        hydro = setup.make_hydro()
+        if metrics_every:
+            hydro.probe = DiagnosticsProbe(every=metrics_every,
+                                           record=True)
+        hydro.run(max_steps=config.max_steps)
+        assert type(hydro).__name__ == "Hydro"
+        self.state = hydro.state
+        self.nstep = hydro.nstep
+        self.time = hydro.time
+        self.metrics_rows = hydro.probe.rows if metrics_every else None
+
+    def diagnostics(self):
+        return {
+            "mass": self.state.total_mass(),
+            "total_energy": self.state.total_energy(),
+            "rho_max": float(self.state.rho.max()),
+        }
 
 
 def _state_bytes(state):
@@ -53,8 +84,7 @@ def test_every_lane_matches_serial(problem, lanes):
     configs = [RunConfig(problem=problem, nx=32, ny=32,
                          max_steps=max_steps) for _ in range(lanes)]
     ensemble = run_ensemble(configs)
-    serial = run(configs[0])
-    assert serial.backend == "serial"
+    serial = CoreRun(configs[0])
     for lane_result in ensemble:
         assert_lane_identical(serial, lane_result)
 
@@ -74,7 +104,7 @@ def test_forced_viscosity_branch_is_identical(forced, problem,
     configs = [RunConfig(problem=problem, nx=24, ny=24, max_steps=25)
                for _ in range(2)]
     ensemble = run_ensemble(configs)
-    serial = run(configs[0])
+    serial = CoreRun(configs[0])
     for lane_result in ensemble:
         assert_lane_identical(serial, lane_result)
 
@@ -87,14 +117,12 @@ def test_ragged_retirement_keeps_lanes_identical():
                for s in steps]
     ensemble = run_ensemble(configs)
     for config, lane_result in zip(configs, ensemble):
-        assert_lane_identical(run(config), lane_result)
+        assert_lane_identical(CoreRun(config), lane_result)
 
 
 def test_heterogeneous_controls_per_lane():
     """Per-lane cq1/cfl sweeps diverge the lanes' dt sequences; each
     lane still matches its own serial run exactly."""
-    from repro.parallel.distributed import DistributedHydro
-
     overrides = [None, {"cq1": 0.3}, {"cfl_safety": 0.4}]
     configs = [RunConfig(problem="sod", nx=20, ny=20, max_steps=40)
                for _ in overrides]
@@ -102,39 +130,28 @@ def test_heterogeneous_controls_per_lane():
 
     for override, config, lane_result in zip(overrides, configs,
                                              ensemble):
-        setup = config.build_setup()
-        if override:
-            setup.controls = setup.controls.with_(**override).validated()
-        driver = DistributedHydro(setup, 1, backend="serial")
-        driver.run(max_steps=config.max_steps)
-        serial_state = driver.gather()
-        sb = _state_bytes(serial_state)
+        core = CoreRun(config, override)
+        sb = _state_bytes(core.state)
         eb = _state_bytes(lane_result.state)
         differing = [f for f in sb if sb[f] != eb[f]]
         assert not differing, (
             f"override {override}: fields differ {differing}")
-        assert lane_result.nstep == driver.nstep
-        assert lane_result.time == driver.time
+        assert lane_result.nstep == core.nstep
+        assert lane_result.time == core.time
 
 
 def test_ale_lane_beside_plain_lane():
     """A remapping lane (ALE every 4 steps) shares the batch with a
     pure-Lagrangian lane; both stay bit-identical to serial, and the
     remap correctly invalidates the cross-step geometry cache."""
-    from repro.parallel.distributed import DistributedHydro
-
     configs = [RunConfig(problem="noh", nx=16, ny=16, max_steps=24)
                for _ in range(2)]
     overrides = [None, {"ale_on": True, "ale_every": 4}]
     ensemble = run_ensemble(configs, control_overrides=overrides)
 
-    assert_lane_identical(run(configs[0]), ensemble[0])
-    setup = configs[1].build_setup()
-    setup.controls = setup.controls.with_(ale_on=True,
-                                          ale_every=4).validated()
-    driver = DistributedHydro(setup, 1, backend="serial")
-    driver.run(max_steps=24)
-    sb = _state_bytes(driver.gather())
+    assert_lane_identical(CoreRun(configs[0]), ensemble[0])
+    core = CoreRun(configs[1], {"ale_on": True, "ale_every": 4})
+    sb = _state_bytes(core.state)
     eb = _state_bytes(ensemble[1].state)
     differing = [f for f in sb if sb[f] != eb[f]]
     assert not differing, f"ALE lane fields differ: {differing}"
@@ -146,7 +163,7 @@ def test_metrics_rows_match_serial_probe():
     configs = [RunConfig(problem="sod", nx=16, ny=16, max_steps=30,
                          metrics_every=10) for _ in range(2)]
     ensemble = run_ensemble(configs)
-    serial = run(configs[0])
+    serial = CoreRun(configs[0], metrics_every=10)
     for lane_result in ensemble:
         assert lane_result.metrics_rows is not None
         assert len(lane_result.metrics_rows) == len(serial.metrics_rows)

@@ -66,9 +66,9 @@ def test_state_inspectable_after_failure():
 
 def test_failed_run_checkpointable():
     """A run that died can be checkpointed for post-mortem transfer."""
-    from repro.output.restart import checkpoint, read_restart
+    from repro.fleet.checkpoint import load_checkpoint, save_checkpoint
+    import os
     import tempfile
-    from pathlib import Path
 
     setup = load_problem("saltzmann", nx=60, ny=6, time_end=0.6,
                          subzonal_kappa=0.0, filter_kappa=0.0)
@@ -78,7 +78,8 @@ def test_failed_run_checkpointable():
     except BookLeafError:
         pass
     with tempfile.TemporaryDirectory() as tmp:
-        path = checkpoint(hydro, Path(tmp) / "postmortem.npz")
-        state, time, nstep, _ = read_restart(path)
-        assert nstep == hydro.nstep
-        np.testing.assert_array_equal(state.rho, hydro.state.rho)
+        path = os.path.join(tmp, "postmortem.npz")
+        save_checkpoint(path, hydro)
+        meta, arrays = load_checkpoint(path)
+        assert meta["nstep"] == hydro.nstep
+        np.testing.assert_array_equal(arrays["rho"], hydro.state.rho)

@@ -141,6 +141,20 @@ def test_driver_advance_refreshes_prescribed_values():
     assert v[0] == 0.0 and v[1] == 1.0
 
 
+def test_copy_keeps_current_driven_values():
+    """A state copy mid-run carries the driver's current prescribed
+    velocities, not a reset to t=0."""
+    from repro.problems import load_problem
+
+    state = load_problem("kidder", nx=3, ny=3).state
+    state.bc.advance(1.0e-3)
+    ux, uy = state.bc.ux.copy(), state.bc.uy.copy()
+    copied = state.copy()
+    np.testing.assert_array_equal(copied.bc.ux, ux)
+    np.testing.assert_array_equal(copied.bc.uy, uy)
+    assert copied.bc.driver is state.bc.driver
+
+
 def test_advance_is_noop_without_driver():
     bc = BoundaryConditions(np.array([FIX_X], dtype=np.int8),
                             np.array([3.0]), np.array([0.0]))
@@ -159,10 +173,13 @@ def test_subset_propagates_driver():
 
 
 def test_driver_bcs_rejected_by_ensemble():
+    """Driven boundaries batch only at N=1 (one lane, one clock)."""
     from repro.ensemble.state import EnsembleState
     from repro.problems import load_problem
     from repro.utils.errors import BookLeafError
 
     state = load_problem("kidder", nx=3, ny=3).state
+    other = load_problem("kidder", nx=3, ny=3).state
     with pytest.raises(BookLeafError, match="cannot be batched"):
-        EnsembleState([state])
+        EnsembleState([state, other])
+    assert EnsembleState([state]).bc.driver is not None
